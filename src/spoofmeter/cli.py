@@ -5,9 +5,20 @@ evaluation utterance), ``eer`` (per-system and attack-averaged equal error
 rates), ``report`` (EER joined with machine and, optionally, human opinion
 scores), and ``grid`` (front-end variants crossed with Gaussian counts).
 
-All tabular I/O is TSV with a header row; every output embeds the
-configuration that produced it in leading ``#`` comment lines, with no
-timestamps, so identical invocations produce byte-identical artifacts.
+All tabular I/O is TSV under one rule (:mod:`spoofmeter.tables`): blank
+lines and ``#`` lines are skipped anywhere, and the header is the first line
+that is neither. Every output embeds the configuration that produced it in
+leading ``#`` comment lines, with no timestamps, so identical invocations
+produce byte-identical artifacts.
+
+The run configuration (``--config``) is a JSON object with the optional
+keys ``sample_rate``, ``cqt``, ``cqcc`` and ``gmm``. The keys of the last
+three are the fields of :class:`~spoofmeter.cqt.CqtConfig`,
+:class:`~spoofmeter.features.CqccConfig` and
+:class:`~spoofmeter.gmm.GmmTrainConfig`, typed as those fields are (see
+:mod:`spoofmeter.config`); unknown keys and wrong types are errors that
+name the file.
+
 Exit codes: 0 success, 1 usage error, 2 data/validation error, 3 numerical
 failure.
 """
@@ -21,9 +32,11 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .cqt import CqtConfig
+from .config import checked, from_doc, to_doc
+from .cqt import DEFAULT_OCTAVES, DEFAULT_SAMPLE_RATE
 from .detector import (
     FeatureConfig,
+    default_feature_config,
     read_score_file,
     score_batch,
     train_detector,
@@ -35,7 +48,6 @@ from .errors import (
     NumericalError,
     SpoofmeterError,
 )
-from .features import CqccConfig
 from .gmm import GmmTrainConfig
 from .manifest import parse_manifest
 from .metrics import (
@@ -45,6 +57,7 @@ from .metrics import (
     read_opinion_file,
 )
 from .model_io import load_model, save_model
+from .tables import read_table, write_table
 
 AVERAGE_ROW_ID = "(average)"
 
@@ -64,19 +77,14 @@ class _Parser(argparse.ArgumentParser):
 # Run configuration
 # ---------------------------------------------------------------------------
 
-_CQCC_KEYS = ("num_ceps", "include_zeroth", "use_static", "use_delta",
-              "use_delta2", "apply_cmvn", "resample_period")
-_GMM_KEYS = ("target_components", "em_iters_per_stage",
-             "variance_floor_factor", "convergence_tol", "seed")
-_CQT_KEYS = ("bins_per_octave", "f_min", "f_max", "hop")
-
-
 def load_run_config(path=None):
     """Merge a JSON config file over the built-in defaults.
 
     Defaults reproduce the final reference setup: 16 kHz operating rate,
     96-bin/octave CQT over nine octaves below Nyquist, 29 delta+double-delta
-    CQCCs without normalization, and 2048 Gaussians per class.
+    CQCCs without normalization, and 2048 Gaussians per class. ``f_max``
+    defaults to Nyquist, ``f_min`` to nine octaves below the ``f_max`` in
+    effect, and ``hop`` to a hundredth of the rate.
     """
     doc = {}
     if path is not None:
@@ -86,37 +94,20 @@ def load_run_config(path=None):
             raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
         if not isinstance(doc, dict):
             raise ConfigError(f"{path}: config must be a JSON object")
-        unknown = set(doc) - {"sample_rate", "cqt", "cqcc", "gmm"}
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-
-    sample_rate = int(doc.get("sample_rate", 16000))
-
-    cqt_doc = dict(doc.get("cqt", {}))
-    unknown = set(cqt_doc) - set(_CQT_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown cqt keys: {sorted(unknown)}")
-    f_max = float(cqt_doc.get("f_max", sample_rate / 2.0))
-    cqt = CqtConfig(
-        bins_per_octave=int(cqt_doc.get("bins_per_octave", 96)),
-        f_min=float(cqt_doc.get("f_min", f_max / 2.0 ** 9)),
-        f_max=f_max,
-        hop=int(cqt_doc.get("hop", round(sample_rate / 100.0))),
-    )
-
-    cqcc_doc = dict(doc.get("cqcc", {}))
-    unknown = set(cqcc_doc) - set(_CQCC_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown cqcc keys: {sorted(unknown)}")
-    cqcc = CqccConfig(**cqcc_doc)
-
-    gmm_doc = dict(doc.get("gmm", {}))
-    unknown = set(gmm_doc) - set(_GMM_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown gmm keys: {sorted(unknown)}")
-    gmm = GmmTrainConfig(**gmm_doc)
-
-    return FeatureConfig(sample_rate=sample_rate, cqt=cqt, cqcc=cqcc), gmm
+    where = str(path)
+    gmm = from_doc(GmmTrainConfig, doc.pop("gmm", {}), f"{where}: gmm",
+                   to_doc(GmmTrainConfig()))
+    rate = checked(doc.get("sample_rate", DEFAULT_SAMPLE_RATE), int,
+                   f"{where}: sample_rate")
+    try:
+        defaults = to_doc(default_feature_config(rate))
+    except ConfigError as exc:
+        raise ConfigError(f"{where}: sample_rate {rate}: {exc}") from exc
+    cqt = doc.get("cqt")
+    if isinstance(cqt, dict) and "f_max" in cqt:
+        f_max = checked(cqt["f_max"], float, f"{where}: cqt: f_max")
+        defaults["cqt"].update(f_max=f_max, f_min=f_max / 2.0 ** DEFAULT_OCTAVES)
+    return from_doc(FeatureConfig, doc, where, defaults), gmm
 
 
 def parse_variant(token: str) -> dict:
@@ -131,53 +122,10 @@ def parse_variant(token: str) -> dict:
         if part in seen:
             raise ConfigError(f"duplicate component {part!r} in {token!r}")
         seen.add(part)
-    flags = {
-        "include_zeroth": "z" in seen,
-        "use_static": "stat" in seen,
-        "use_delta": "delta" in seen,
-        "use_delta2": "delta2" in seen,
-    }
-    if not (flags["use_static"] or flags["use_delta"] or flags["use_delta2"]):
+    if not seen & {"stat", "delta", "delta2"}:
         raise ConfigError(f"variant {token!r} enables no feature block")
-    return flags
-
-
-# ---------------------------------------------------------------------------
-# Output helpers
-# ---------------------------------------------------------------------------
-
-def _write_table(path, comments, header, rows):
-    lines = [f"# {c}" for c in comments]
-    lines.append("\t".join(header))
-    for row in rows:
-        lines.append("\t".join(str(c) for c in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _read_table(path, expected_header):
-    from .errors import ManifestParseError
-
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    body = [(i, ln) for i, ln in enumerate(lines, start=1)
-            if ln.strip() and not ln.startswith("#")]
-    if not body:
-        raise ManifestParseError(1, f"{path}: empty table")
-    first_line, header = body[0]
-    if header.split("\t") != list(expected_header):
-        raise ManifestParseError(
-            first_line, f"{path}: expected header {list(expected_header)}")
-    rows = []
-    for lineno, line in body[1:]:
-        cols = line.split("\t")
-        if len(cols) != len(expected_header):
-            raise ManifestParseError(
-                lineno, f"{path}: expected {len(expected_header)} columns")
-        rows.append(cols)
-    return rows
-
-
-def _fmt(value: float) -> str:
-    return repr(float(value))
+    return dict(include_zeroth="z" in seen, use_static="stat" in seen,
+                use_delta="delta" in seen, use_delta2="delta2" in seen)
 
 
 # ---------------------------------------------------------------------------
@@ -223,24 +171,25 @@ def _cmd_eer(args) -> int:
     total_spoof = 0
     n_bona = 0
     for system, result in summary.per_attack.items():
-        rows.append((system, _fmt(result.eer_percent), _fmt(result.threshold),
+        rows.append((system, result.eer_percent, result.threshold,
                      result.n_bonafide, result.n_spoof))
         total_spoof += result.n_spoof
         n_bona = result.n_bonafide
-    rows.append((AVERAGE_ROW_ID, _fmt(summary.average_percent), "-",
+    rows.append((AVERAGE_ROW_ID, summary.average_percent, "-",
                  n_bona, total_spoof))
-    _write_table(args.out, (
+    write_table(args.out, _EER_HEADER, rows, (
         f"tool: spoofmeter {__version__}",
         f"command: eer --scores {args.scores}",
         f"seed: {args.seed if args.seed is not None else 0}",
-    ), _EER_HEADER, rows)
+    ))
     print(f"attack-averaged EER {summary.average_percent:.2f}% over "
           f"{len(summary.per_attack)} system(s) -> {args.out}")
     return 0
 
 
 def _cmd_report(args) -> int:
-    eer_rows = _read_table(args.eer, _EER_HEADER)
+    eer_rows = read_table(args.eer, _EER_HEADER,
+                          lambda system, eer, *_: (system, float(eer)))
     mos_map = None
     if args.opinions is not None:
         mos_map = compute_mos(read_opinion_file(args.opinions))
@@ -249,21 +198,19 @@ def _cmd_report(args) -> int:
     if mos_map is not None:
         header.append("mos")
     rows = []
-    for cols in eer_rows:
-        system, eer_text = cols[0], cols[1]
+    for system, eer in eer_rows:
         if system == AVERAGE_ROW_ID:
             continue
-        eer = float(eer_text)
-        row = [system, _fmt(eer), _fmt(machine_opinion_score(eer))]
+        row = [system, eer, machine_opinion_score(eer)]
         if mos_map is not None:
-            row.append(_fmt(mos_map[system]) if system in mos_map else "-")
+            row.append(mos_map.get(system, "-"))
         rows.append(row)
-    _write_table(args.out, (
+    write_table(args.out, header, rows, (
         f"tool: spoofmeter {__version__}",
         f"command: report --eer {args.eer}"
         + (f" --opinions {args.opinions}" if args.opinions else ""),
         f"seed: {args.seed if args.seed is not None else 0}",
-    ), header, rows)
+    ))
     print(f"report for {len(rows)} system(s) -> {args.out}")
     return 0
 
@@ -304,7 +251,7 @@ def _cmd_grid(args) -> int:
                     model = train_detector(nat, artif, cell_config, cell_gmm)
                     scores = score_batch(model, eval_manifest)
                     summary = attack_averaged_eer(scores)
-                    value = _fmt(summary.average_percent)
+                    value = summary.average_percent
                 except (SpoofmeterError, OSError) as exc:
                     print(f"grid cell ({variant}, "
                           f"{'cmvn' if use_cmvn else 'raw'}, {n_components}) "
@@ -313,13 +260,14 @@ def _cmd_grid(args) -> int:
                 rows.append((variant, "cmvn" if use_cmvn else "raw",
                              n_components, value))
 
-    _write_table(args.out, (
+    write_table(args.out, ("variant", "cmvn", "gaussians", "eer_percent"),
+                rows, (
         f"tool: spoofmeter {__version__}",
         f"command: grid --nat {args.nat} --artif {args.artif} "
         f"--eval {args.eval} --variants {args.variants} "
         f"--gaussians {args.gaussians} --cmvn {args.cmvn}",
         f"seed: {gmm_config.seed}",
-    ), ("variant", "cmvn", "gaussians", "eer_percent"), rows)
+    ))
     print(f"grid of {len(rows)} cell(s) -> {args.out}")
     return 0
 

@@ -1,0 +1,72 @@
+"""Configuration documents: one schema, read from the dataclass fields.
+
+A configuration dataclass is written as a JSON object whose keys are its
+field names, a nested dataclass as a nested object; a field declared with
+``metadata={"doc": False}`` is left out. The run config, the model file and
+the feature-cache key all use this one document. Types are checked strictly
+on the way in: an ``int`` field takes an int but never a bool, a ``float``
+field takes an int or a float and stores a float, and a ``bool`` field takes
+only a bool.
+"""
+
+from __future__ import annotations
+
+from dataclasses import fields, is_dataclass
+from typing import get_type_hints
+
+from .errors import ConfigError
+
+_ACCEPTED = {bool: (bool,), int: (int,), float: (int, float)}
+
+
+def _doc_fields(cls_or_obj) -> list:
+    return [f.name for f in fields(cls_or_obj) if f.metadata.get("doc", True)]
+
+
+def to_doc(obj) -> dict:
+    """The JSON object of a configuration dataclass instance."""
+    doc = {}
+    for name in _doc_fields(obj):
+        value = getattr(obj, name)
+        doc[name] = to_doc(value) if is_dataclass(value) else value
+    return doc
+
+
+def checked(value, hint, where):
+    """``value`` as a field of type ``hint`` holds it; else :class:`ConfigError`."""
+    if (isinstance(value, bool) != (hint is bool)
+            or not isinstance(value, _ACCEPTED[hint])):
+        raise ConfigError(f"{where} must be {hint.__name__}, got {value!r}")
+    return float(value) if hint is float else value
+
+
+def from_doc(cls, doc, where, defaults=None):
+    """Build ``cls`` from the JSON object ``doc``, checking every key and type.
+
+    Missing keys take their value from ``defaults``, a full document of
+    ``cls``; without it every key is required. Unknown or missing keys, wrong
+    types and out-of-range values raise :class:`ConfigError` naming
+    ``where`` (a file, then the path of keys).
+    """
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {doc!r}")
+    names = _doc_fields(cls)
+    unknown = sorted(set(doc) - set(names))
+    if unknown:
+        raise ConfigError(f"{where}: unknown keys {unknown}")
+    hints = get_type_hints(cls)
+    values = {}
+    for name in names:
+        if name not in doc and defaults is None:
+            raise ConfigError(f"{where}: missing key {name!r}")
+        value = doc[name] if name in doc else defaults[name]
+        if is_dataclass(hints[name]):
+            values[name] = from_doc(
+                hints[name], value, f"{where}: {name}",
+                None if defaults is None else defaults[name])
+        else:
+            values[name] = checked(value, hints[name], f"{where}: {name}")
+    try:
+        return cls(**values)
+    except ConfigError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc

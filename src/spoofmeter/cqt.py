@@ -21,13 +21,20 @@ from .errors import ConfigError, SignalTooShortError
 # Bound on the scratch matrix (frames x window) built per bin group, in floats.
 _MAX_GATHER_FLOATS = 8_000_000
 
+# The package-wide default grid: the reference CQCC front end's (Todisco 2017).
+DEFAULT_SAMPLE_RATE = 16000
+DEFAULT_BINS_PER_OCTAVE = 96
+DEFAULT_OCTAVES = 9
+DEFAULT_FRAMES_PER_SECOND = 100
+
 
 @dataclass(frozen=True)
 class CqtConfig:
     """Analysis grid: ``bins_per_octave`` bins from ``f_min`` up to ``f_max``,
 
     advancing ``hop`` samples per frame. The Q factor and per-bin window
-    lengths follow from ``bins_per_octave`` alone.
+    lengths follow from ``bins_per_octave`` alone. Integer band edges are
+    stored as floats, so equal grids have one serialized form.
     """
 
     bins_per_octave: int
@@ -36,6 +43,8 @@ class CqtConfig:
     hop: int
 
     def __post_init__(self):
+        object.__setattr__(self, "f_min", float(self.f_min))
+        object.__setattr__(self, "f_max", float(self.f_max))
         if self.bins_per_octave < 1:
             raise ConfigError("bins_per_octave must be >= 1")
         if self.hop < 1:
@@ -65,9 +74,7 @@ class CqtConfig:
         return np.ceil(self.q_factor * sample_rate / self.center_freqs).astype(int)
 
 
-def default_cqt_config(sample_rate: int, bins_per_octave: int = 96,
-                       octaves: int = 9,
-                       frames_per_second: float = 100.0) -> CqtConfig:
+def default_cqt_config(sample_rate: int) -> CqtConfig:
     """Analysis grid used throughout this package unless overridden.
 
     f_max at Nyquist, nine octaves below it for f_min, 96 bins per octave,
@@ -75,10 +82,10 @@ def default_cqt_config(sample_rate: int, bins_per_octave: int = 96,
     """
     f_max = sample_rate / 2.0
     return CqtConfig(
-        bins_per_octave=bins_per_octave,
-        f_min=f_max / 2.0 ** octaves,
+        bins_per_octave=DEFAULT_BINS_PER_OCTAVE,
+        f_min=f_max / 2.0 ** DEFAULT_OCTAVES,
         f_max=f_max,
-        hop=int(round(sample_rate / frames_per_second)),
+        hop=round(sample_rate / DEFAULT_FRAMES_PER_SECOND),
     )
 
 

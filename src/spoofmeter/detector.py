@@ -20,7 +20,8 @@ from pathlib import Path
 
 from . import __version__
 from .audio_io import AudioSignal, read_wav, resample
-from .cqt import CqtConfig, default_cqt_config
+from .config import to_doc
+from .cqt import DEFAULT_SAMPLE_RATE, CqtConfig, default_cqt_config
 from .errors import (
     BatchScoringError,
     ConfigError,
@@ -38,6 +39,7 @@ from .features import (
 from .gmm import DiagGmm, GmmTrainConfig, avg_log_likelihood, train_gmm
 from .manifest import Manifest
 from .metrics import ScoreRecord, ScoreSet
+from .tables import read_table, write_table
 
 import numpy as np
 
@@ -50,13 +52,14 @@ class FeatureConfig:
 
     ``grid_size`` pins the uniform resampling grid; when ``None`` it is
     derived from the CQT geometry and the resampling period. Models store the
-    pinned value so training and scoring always agree.
+    pinned value, in a section of their own, so training and scoring always
+    agree.
     """
 
     sample_rate: int
     cqt: CqtConfig
     cqcc: CqccConfig
-    grid_size: int | None = None
+    grid_size: int | None = field(default=None, metadata={"doc": False})
 
     def __post_init__(self):
         if self.sample_rate <= 0:
@@ -84,7 +87,7 @@ class FeatureConfig:
                              grid_size=self.effective_grid_size)
 
 
-def default_feature_config(sample_rate: int = 16000) -> FeatureConfig:
+def default_feature_config(sample_rate: int = DEFAULT_SAMPLE_RATE) -> FeatureConfig:
     """Delta+double-delta CQCCs at 16 kHz: the package-wide default setup."""
     return FeatureConfig(
         sample_rate=sample_rate,
@@ -128,18 +131,12 @@ def _cache_dir() -> Path | None:
     return Path(value) if value else None
 
 
-def _config_digest(config: FeatureConfig) -> str:
-    doc = {
-        "sample_rate": config.sample_rate,
-        "cqt": [config.cqt.bins_per_octave, config.cqt.f_min,
-                config.cqt.f_max, config.cqt.hop],
-        "cqcc": [config.cqcc.num_ceps, config.cqcc.include_zeroth,
-                 config.cqcc.use_static, config.cqcc.use_delta,
-                 config.cqcc.use_delta2, config.cqcc.apply_cmvn,
-                 config.cqcc.resample_period],
-        "grid": config.effective_grid_size,
-    }
-    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()[:20]
+def _cache_key(config: FeatureConfig, path: str) -> str:
+    # The WAV's size and mtime make a file replaced in place a new key.
+    stat = os.stat(path)
+    doc = [str(Path(path).resolve()), stat.st_size, stat.st_mtime_ns,
+           to_doc(config), config.effective_grid_size]
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()[:24]
 
 
 def _features_for_file(config: FeatureConfig, path: str,
@@ -148,10 +145,7 @@ def _features_for_file(config: FeatureConfig, path: str,
     if cache is None:
         return extract_features(config, read_wav(path), source_id=utt_id)
 
-    key = hashlib.sha256(
-        f"{Path(path).resolve()}::{_config_digest(config)}".encode()
-    ).hexdigest()[:24]
-    cache_file = cache / f"{key}.feat"
+    cache_file = cache / f"{_cache_key(config, path)}.feat"
     if cache_file.exists():
         return read_feature_cache(cache_file, source_id=utt_id)
     feats = extract_features(config, read_wav(path), source_id=utt_id)
@@ -160,16 +154,23 @@ def _features_for_file(config: FeatureConfig, path: str,
     return feats
 
 
-def _pooled_frames(manifest: Manifest, config: FeatureConfig, class_name: str):
+def _for_each_file(manifest: Manifest, name: str, per_file) -> list:
+    """``per_file(entry)`` for every row, in order; one error names every failure.
+
+    Silently skipping files would bias the models and the error rates.
+    """
     if len(manifest) == 0:
-        raise EmptyManifestError(f"{class_name} manifest is empty")
-    pools = []
+        raise EmptyManifestError(f"{name} manifest is empty")
+    results = []
+    failures = []
     for entry in manifest:
         try:
-            pools.append(_features_for_file(config, entry.path, entry.utt_id).frames)
+            results.append(per_file(entry))
         except Exception as exc:
-            raise type(exc)(f"{entry.path}: {exc}") from exc
-    return np.vstack(pools)
+            failures.append((entry.utt_id, entry.path, exc))
+    if failures:
+        raise BatchScoringError(failures)
+    return results
 
 
 def train_detector(nat_manifest: Manifest, artif_manifest: Manifest,
@@ -182,8 +183,13 @@ def train_detector(nat_manifest: Manifest, artif_manifest: Manifest,
     with the identical schedule. The returned model is self-describing.
     """
     config = feature_config.pinned()
-    nat_frames = _pooled_frames(nat_manifest, config, "natural-speech")
-    artif_frames = _pooled_frames(artif_manifest, config, "artificial-speech")
+
+    def frames(entry):
+        return _features_for_file(config, entry.path, entry.utt_id).frames
+
+    nat_frames = np.vstack(_for_each_file(nat_manifest, "natural-speech", frames))
+    artif_frames = np.vstack(
+        _for_each_file(artif_manifest, "artificial-speech", frames))
 
     nat_gmm = train_gmm(nat_frames, gmm_config)
     artif_gmm = train_gmm(artif_frames, gmm_config)
@@ -231,26 +237,16 @@ def llr_score(model: DetectorModel, utterance) -> float:
 def score_batch(model: DetectorModel, eval_manifest: Manifest) -> ScoreSet:
     """Score every manifest row, in manifest order.
 
-    Per-file failures are collected and the whole batch fails if any file
-    fails; silently skipping files would bias downstream error rates.
+    Per-file failures are collected and the whole batch fails with one
+    :class:`BatchScoringError` if any file fails.
     """
-    if len(eval_manifest) == 0:
-        raise EmptyManifestError("evaluation manifest is empty")
-    records = []
-    failures = []
-    for entry in eval_manifest:
-        try:
-            feats = _features_for_file(model.feature_config, entry.path,
-                                       entry.utt_id)
-            llr = llr_score(model, feats)
-        except Exception as exc:
-            failures.append((entry.utt_id, entry.path, exc))
-            continue
-        records.append(ScoreRecord(entry.utt_id, entry.label,
-                                   entry.system_id, llr))
-    if failures:
-        raise BatchScoringError(failures)
-    return ScoreSet(tuple(records))
+    def record(entry):
+        feats = _features_for_file(model.feature_config, entry.path,
+                                   entry.utt_id)
+        return ScoreRecord(entry.utt_id, entry.label, entry.system_id,
+                           llr_score(model, feats))
+
+    return ScoreSet(tuple(_for_each_file(eval_manifest, "evaluation", record)))
 
 
 SCORE_COLUMNS = ("utt_id", "label", "system_id", "llr")
@@ -258,37 +254,14 @@ SCORE_COLUMNS = ("utt_id", "label", "system_id", "llr")
 
 def write_score_file(scores: ScoreSet, path, comments=()) -> None:
     """Write a score TSV: one row per record, LLR as shortest round-trip decimal."""
-    lines = [f"# {c}" for c in comments]
-    lines.append("\t".join(SCORE_COLUMNS))
-    for r in scores.records:
-        lines.append(f"{r.utt_id}\t{r.label}\t{r.system_id}\t{r.llr!r}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_table(path, SCORE_COLUMNS, (
+        (r.utt_id, r.label, r.system_id, float(r.llr)) for r in scores.records),
+        comments)
 
 
 def read_score_file(path) -> ScoreSet:
     """Read a TSV written by :func:`write_score_file`."""
-    from .errors import ManifestParseError
-
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    body = [(i, ln) for i, ln in enumerate(lines, start=1)
-            if ln.strip() and not ln.startswith("#")]
-    if not body:
-        raise ManifestParseError(1, "empty score file")
-    first_line, header = body[0]
-    if header.split("\t") != list(SCORE_COLUMNS):
-        raise ManifestParseError(first_line, f"unexpected score header {header!r}")
-    records = []
-    for lineno, line in body[1:]:
-        cols = line.split("\t")
-        if len(cols) != len(SCORE_COLUMNS):
-            raise ManifestParseError(
-                lineno, f"expected {len(SCORE_COLUMNS)} columns, got {len(cols)}")
-        try:
-            llr = float(cols[3])
-        except ValueError:
-            raise ManifestParseError(lineno, f"bad score {cols[3]!r}") from None
-        try:
-            records.append(ScoreRecord(cols[0], cols[1], cols[2], llr))
-        except ValueError as exc:
-            raise ManifestParseError(lineno, str(exc)) from None
-    return ScoreSet(tuple(records))
+    return ScoreSet(tuple(read_table(
+        path, SCORE_COLUMNS,
+        lambda utt_id, label, system_id, llr: ScoreRecord(
+            utt_id, label, system_id, float(llr)))))

@@ -73,22 +73,24 @@ class EmptyManifestError(DataError):
 
 
 class ManifestParseError(DataError):
-    """Malformed manifest or score file row.
+    """Malformed table file: manifest, scores, opinions or EER table.
 
-    Carries the 1-based ``line`` the problem was found on.
+    Carries the file's ``path`` and the physical 1-based ``line`` the
+    problem was found on.
     """
 
-    def __init__(self, line, reason):
-        super().__init__(f"line {line}: {reason}")
+    def __init__(self, line, reason, path):
+        super().__init__(f"{path}: line {line}: {reason}")
         self.line = line
         self.reason = reason
+        self.path = path
 
 
 class BatchScoringError(DataError):
-    """One or more files in a scoring batch could not be processed.
+    """One or more files of a training or scoring manifest failed.
 
     ``failures`` is a list of ``(utt_id, path, exception)`` tuples; no
-    partial score set is produced.
+    partial model or score set is produced.
     """
 
     def __init__(self, failures):

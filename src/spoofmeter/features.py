@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import struct
+import uuid
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -233,12 +234,19 @@ def write_feature_cache(path, feats: FeatureMatrix) -> None:
     """Write one utterance's features: 16-byte magic+version header, then
 
     dimension and frame count as little-endian uint32, then row-major
-    little-endian float64 frames.
+    little-endian float64 frames, via a ``.tmp`` file renamed over ``path``
+    so that a concurrent reader sees the whole file or none.
     """
     header = _CACHE_MAGIC + struct.pack("<II", _CACHE_VERSION, 0)
     body = struct.pack("<II", feats.dim, feats.n_frames)
     data = np.ascontiguousarray(feats.frames, dtype="<f8").tobytes()
-    Path(path).write_bytes(header + body + data)
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        tmp.write_bytes(header + body + data)
+        tmp.replace(path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def read_feature_cache(path, source_id: str = "") -> FeatureMatrix:

@@ -1,7 +1,9 @@
 """Manifest files: the corpus protocol listing this tool consumes.
 
-A manifest is a TSV with header ``utt_id  path  label  system_id``. Labels
-are ``bonafide`` or ``spoof``; bona fide rows carry the reserved system id
+A manifest is a table (see :mod:`spoofmeter.tables`) with the columns
+``utt_id  path  label  system_id``: blank lines and ``#`` lines are skipped
+anywhere, and the header is the first line that is neither. Labels are
+``bonafide`` or ``spoof``; bona fide rows carry the reserved system id
 ``-`` and spoof rows anything else. Relative audio paths are resolved
 against the manifest's own directory.
 """
@@ -11,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ManifestParseError
-from .metrics import BONAFIDE, BONAFIDE_SYSTEM, SPOOF, VALID_LABELS
+from .metrics import check_label
+from .tables import read_table
 
 MANIFEST_COLUMNS = ("utt_id", "path", "label", "system_id")
 
@@ -45,47 +47,20 @@ def parse_manifest(path) -> Manifest:
 
     Problems (bad header, wrong column count, unknown label, duplicate
     utterance id, inconsistent system id) raise :class:`ManifestParseError`
-    citing the 1-based line number.
+    naming the file and the 1-based line number.
     """
     path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines:
-        raise ManifestParseError(1, "empty manifest file")
-    header = lines[0].split("\t")
-    if header != list(MANIFEST_COLUMNS):
-        raise ManifestParseError(
-            1, f"expected header {list(MANIFEST_COLUMNS)}, got {header}")
+    seen = set()
 
-    entries = []
-    seen = {}
-    base = path.parent
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        cols = line.split("\t")
-        if len(cols) != len(MANIFEST_COLUMNS):
-            raise ManifestParseError(
-                lineno, f"expected {len(MANIFEST_COLUMNS)} columns, got {len(cols)}")
-        utt_id, rel_path, label, system_id = cols
+    def entry(utt_id, audio_path, label, system_id):
         if not utt_id:
-            raise ManifestParseError(lineno, "empty utt_id")
+            raise ValueError("empty utt_id")
         if utt_id in seen:
-            raise ManifestParseError(
-                lineno, f"duplicate utt_id {utt_id!r} (first on line {seen[utt_id]})")
-        seen[utt_id] = lineno
-        if label not in VALID_LABELS:
-            raise ManifestParseError(lineno, f"unknown label {label!r}")
-        if label == SPOOF and system_id == BONAFIDE_SYSTEM:
-            raise ManifestParseError(
-                lineno, f"spoof rows must name a system, not {BONAFIDE_SYSTEM!r}")
-        if label == BONAFIDE and system_id != BONAFIDE_SYSTEM:
-            raise ManifestParseError(
-                lineno,
-                f"bona fide rows carry the reserved system_id "
-                f"{BONAFIDE_SYSTEM!r}, got {system_id!r}")
-        resolved = Path(rel_path)
-        if not resolved.is_absolute():
-            resolved = base / resolved
-        entries.append(ManifestEntry(utt_id, str(resolved), label, system_id))
+            raise ValueError(f"duplicate utt_id {utt_id!r}")
+        seen.add(utt_id)
+        check_label(label, system_id)
+        return ManifestEntry(utt_id, str(path.parent / audio_path), label,
+                             system_id)
 
-    return Manifest(entries=tuple(entries), source_path=str(path))
+    return Manifest(entries=tuple(read_table(path, MANIFEST_COLUMNS, entry)),
+                    source_path=str(path))

@@ -12,23 +12,37 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    EmptyPopulationError,
-    ManifestParseError,
-    NoRatingsError,
-    NoSpoofSystemsError,
-)
+from .errors import EmptyPopulationError, NoRatingsError, NoSpoofSystemsError
+from .tables import read_table
 
 BONAFIDE = "bonafide"
 SPOOF = "spoof"
 BONAFIDE_SYSTEM = "-"
 
 VALID_LABELS = (BONAFIDE, SPOOF)
+
+OPINION_COLUMNS = ("utt_id", "system_id", "listener_id", "score")
+
+
+def check_label(label: str, system_id: str) -> None:
+    """Raise ``ValueError`` unless the label is known and fits the system id.
+
+    Bona fide trials carry the reserved system id ``-``; spoof trials name
+    a real system.
+    """
+    if label not in VALID_LABELS:
+        raise ValueError(f"unknown label {label!r}")
+    if label == SPOOF and system_id == BONAFIDE_SYSTEM:
+        raise ValueError(
+            f"spoof rows must name a system, not {BONAFIDE_SYSTEM!r}")
+    if label == BONAFIDE and system_id != BONAFIDE_SYSTEM:
+        raise ValueError(
+            f"bona fide rows carry the reserved system_id "
+            f"{BONAFIDE_SYSTEM!r}, got {system_id!r}")
 
 
 @dataclass(frozen=True)
@@ -41,14 +55,7 @@ class ScoreRecord:
     llr: float
 
     def __post_init__(self):
-        if self.label not in VALID_LABELS:
-            raise ValueError(f"unknown label {self.label!r}")
-        if self.label == SPOOF and self.system_id == BONAFIDE_SYSTEM:
-            raise ValueError("spoof records need a real system_id")
-        if self.label == BONAFIDE and self.system_id != BONAFIDE_SYSTEM:
-            raise ValueError(
-                f"bona fide records carry the reserved system_id "
-                f"{BONAFIDE_SYSTEM!r}")
+        check_label(self.label, self.system_id)
         if not np.isfinite(self.llr):
             raise ValueError("scores must be finite")
 
@@ -249,26 +256,8 @@ def compute_mos(records, systems=None) -> dict:
 
 
 def read_opinion_file(path) -> list:
-    """Parse an opinions TSV: utt_id, system_id, listener_id, score (1-5)."""
-    records = []
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines:
-        raise ManifestParseError(1, "empty opinion file")
-    header = lines[0].split("\t")
-    if header != ["utt_id", "system_id", "listener_id", "score"]:
-        raise ManifestParseError(1, f"unexpected opinion header {header}")
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip() or line.startswith("#"):
-            continue
-        cols = line.split("\t")
-        if len(cols) != 4:
-            raise ManifestParseError(lineno, f"expected 4 columns, got {len(cols)}")
-        try:
-            score = int(cols[3])
-        except ValueError:
-            raise ManifestParseError(lineno, f"non-integer score {cols[3]!r}") from None
-        try:
-            records.append(OpinionRecord(cols[0], cols[1], cols[2], score))
-        except ValueError as exc:
-            raise ManifestParseError(lineno, str(exc)) from None
-    return records
+    """Parse an opinions table: utt_id, system_id, listener_id, score (1-5)."""
+    return read_table(
+        path, OPINION_COLUMNS,
+        lambda utt_id, system_id, listener_id, score: OpinionRecord(
+            utt_id, system_id, listener_id, int(score)))

@@ -8,24 +8,30 @@ identical and a loaded model scores bit-exactly like the original.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .cqt import CqtConfig
+from .config import checked, from_doc, to_doc
 from .detector import DetectorModel, FeatureConfig
-from .errors import SchemaError, VersionMismatchError
-from .features import CqccConfig
+from .errors import ConfigError, SchemaError, VersionMismatchError
 from .gmm import DiagGmm
 
 MODEL_FORMAT_VERSION = 1
 
 
 def save_model(model: DetectorModel, path) -> None:
-    """Write ``model`` to ``path`` as canonical JSON."""
+    """Write ``model`` to ``path`` as canonical JSON.
+
+    A configuration that :func:`load_model` would reject, such as an int
+    given for a bool field, raises :class:`ConfigError` and writes nothing.
+    """
+    config_doc = to_doc(model.feature_config)
+    from_doc(FeatureConfig, config_doc, f"{path}: feature_config")
     doc = {
         "format_version": MODEL_FORMAT_VERSION,
-        "feature_config": _config_doc(model.feature_config),
+        "feature_config": config_doc,
         "grid": {
             "size": model.feature_config.effective_grid_size,
             "f_min": model.feature_config.cqt.f_min,
@@ -44,7 +50,7 @@ def load_model(path) -> DetectorModel:
 
     Raises :class:`VersionMismatchError` for foreign format versions and
     :class:`SchemaError` for anything structurally wrong (truncation,
-    missing keys, malformed arrays).
+    missing or unknown keys, values of the wrong type, malformed arrays).
     """
     text = Path(path).read_text(encoding="utf-8")
     try:
@@ -62,61 +68,19 @@ def load_model(path) -> DetectorModel:
             f"{MODEL_FORMAT_VERSION}")
 
     try:
-        config = _config_from_doc(doc["feature_config"], doc["grid"])
+        config = replace(
+            from_doc(FeatureConfig, doc["feature_config"],
+                     f"{path}: feature_config"),
+            grid_size=checked(doc["grid"]["size"], int, f"{path}: grid: size"))
         nat = _gmm_from_doc(doc["nat_gmm"])
         artif = _gmm_from_doc(doc["artif_gmm"])
         metadata = dict(doc.get("metadata", {}))
         return DetectorModel(nat=nat, artif=artif, feature_config=config,
                              metadata=metadata)
-    except VersionMismatchError:
-        raise
+    except ConfigError as exc:
+        raise SchemaError(str(exc)) from exc
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"{path}: malformed model document ({exc})") from exc
-
-
-def _config_doc(config: FeatureConfig) -> dict:
-    return {
-        "sample_rate": config.sample_rate,
-        "cqt": {
-            "bins_per_octave": config.cqt.bins_per_octave,
-            "f_min": config.cqt.f_min,
-            "f_max": config.cqt.f_max,
-            "hop": config.cqt.hop,
-        },
-        "cqcc": {
-            "num_ceps": config.cqcc.num_ceps,
-            "include_zeroth": config.cqcc.include_zeroth,
-            "use_static": config.cqcc.use_static,
-            "use_delta": config.cqcc.use_delta,
-            "use_delta2": config.cqcc.use_delta2,
-            "apply_cmvn": config.cqcc.apply_cmvn,
-            "resample_period": config.cqcc.resample_period,
-        },
-    }
-
-
-def _config_from_doc(doc: dict, grid: dict) -> FeatureConfig:
-    cqt = doc["cqt"]
-    cqcc = doc["cqcc"]
-    return FeatureConfig(
-        sample_rate=int(doc["sample_rate"]),
-        cqt=CqtConfig(
-            bins_per_octave=int(cqt["bins_per_octave"]),
-            f_min=float(cqt["f_min"]),
-            f_max=float(cqt["f_max"]),
-            hop=int(cqt["hop"]),
-        ),
-        cqcc=CqccConfig(
-            num_ceps=int(cqcc["num_ceps"]),
-            include_zeroth=bool(cqcc["include_zeroth"]),
-            use_static=bool(cqcc["use_static"]),
-            use_delta=bool(cqcc["use_delta"]),
-            use_delta2=bool(cqcc["use_delta2"]),
-            apply_cmvn=bool(cqcc["apply_cmvn"]),
-            resample_period=int(cqcc["resample_period"]),
-        ),
-        grid_size=int(grid["size"]),
-    )
 
 
 def _gmm_doc(gmm: DiagGmm) -> dict:

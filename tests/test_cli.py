@@ -210,6 +210,25 @@ class TestErrorHandling:
                    "--out", str(tmp_path / "m.json")])
         assert rc == 2
 
+    @pytest.mark.parametrize("config_text", [
+        '{"cqcc": {"num_ceps": "29"}}',
+        '{"gmm": {"target_components": "4"}}',
+        '{"cqt": 5}',
+        '{"cqcc": {"use_delta": "no"}}',
+        '{"sample_rate": true}',
+    ])
+    def test_mistyped_config_exits_2_naming_file(self, workspace, tmp_path,
+                                                 capsys, config_text):
+        config = tmp_path / "typed.json"
+        config.write_text(config_text)
+        rc = main(["train", "--nat", str(workspace["nat"]),
+                   "--artif", str(workspace["artif"]),
+                   "--config", str(config),
+                   "--out", str(tmp_path / "m.json")])
+        assert rc == 2
+        assert str(config) in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
     def test_unknown_config_key_exits_2(self, workspace, tmp_path):
         config = tmp_path / "bad2.json"
         config.write_text('{"gms": {}}')

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -91,8 +92,30 @@ class TestTrainDetector:
         bad = Manifest(entries=(
             ManifestEntry("ghost", str(tmp_path / "ghost.wav"), "bonafide", "-"),),
             source_path=None)
-        with pytest.raises(FileNotFoundError, match="ghost.wav"):
+        with pytest.raises(BatchScoringError, match="ghost.wav"):
             train_detector(bad, bad, FEATURE_CONFIG, GMM_CONFIG)
+
+    def test_every_failed_file_is_named(self, tmp_path):
+        from spoofmeter import ManifestEntry
+        rng = np.random.default_rng(44)
+        good = parse_manifest(_class_corpus(
+            tmp_path, rng, LOW_BAND, "bonafide", "-", 2, "ok"))
+        (tmp_path / "garbage.wav").write_bytes(b"not a wav file")
+        bad = Manifest(entries=good.entries[:1] + (
+            ManifestEntry("ghost", str(tmp_path / "ghost.wav"), "bonafide", "-"),
+            ManifestEntry("junk", str(tmp_path / "garbage.wav"), "bonafide", "-"),
+        ) + good.entries[1:], source_path=None)
+        with pytest.raises(BatchScoringError) as info:
+            train_detector(bad, good, FEATURE_CONFIG, GMM_CONFIG)
+        failures = info.value.failures
+        assert [(u, p) for u, p, _ in failures] == [
+            ("ghost", str(tmp_path / "ghost.wav")),
+            ("junk", str(tmp_path / "garbage.wav"))]
+        # the original exceptions are kept whole, errno and filename included
+        assert isinstance(failures[0][2], FileNotFoundError)
+        assert failures[0][2].filename == str(tmp_path / "ghost.wav")
+        assert "ghost.wav" in str(info.value)
+        assert "garbage.wav" in str(info.value)
 
     def test_empty_manifest(self):
         empty = Manifest(entries=(), source_path=None)
@@ -220,6 +243,31 @@ class TestFeatureCacheIntegration:
         for a, b in [(uncached, first), (first, second)]:
             assert np.array_equal(a.nat.means, b.nat.means)
             assert np.array_equal(a.artif.means, b.artif.means)
+        # cache files are renamed into place; no temporary file is left
+        assert sorted(p.suffix for p in cache.iterdir()) == [".feat"] * 6
+
+    def test_wav_replaced_in_place_is_not_served_stale(self, tmp_path,
+                                                       monkeypatch):
+        rng = np.random.default_rng(45)
+        nat = parse_manifest(_class_corpus(
+            tmp_path / "n", rng, LOW_BAND, "bonafide", "-", 3, "n"))
+        art = parse_manifest(_class_corpus(
+            tmp_path / "a", rng, HIGH_BAND, "spoof", "vcX", 3, "a"))
+        monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path / "cache"))
+        train_detector(nat, art, FEATURE_CONFIG, GMM_CONFIG)
+
+        # same path, different audio and a later modification time
+        victim = nat.entries[0].path
+        old_mtime = os.stat(victim).st_mtime_ns
+        helpers.write_pcm16_wav(
+            victim, resonant_noise(rng, 4000, freq_range=HIGH_BAND).samples)
+        os.utime(victim, ns=(old_mtime + 10**9, old_mtime + 10**9))
+        cached = train_detector(nat, art, FEATURE_CONFIG, GMM_CONFIG)
+
+        monkeypatch.delenv(CACHE_ENV_VAR)
+        uncached = train_detector(nat, art, FEATURE_CONFIG, GMM_CONFIG)
+        assert np.array_equal(cached.nat.means, uncached.nat.means)
+        assert np.array_equal(cached.nat.variances, uncached.nat.variances)
 
 
 def test_helpers_config_sanity():

@@ -79,3 +79,29 @@ def test_absolute_paths_kept(tmp_path):
     path = _write(tmp_path, HEADER + f"u1\t{tmp_path}/x.wav\tbonafide\t-\n")
     manifest = parse_manifest(path)
     assert manifest.entries[0].path == str(tmp_path / "x.wav")
+
+
+def test_comment_lines_skipped_anywhere(tmp_path):
+    # a row whose utt_id starts with '#' is a comment, like every '#' line,
+    # and the header may follow leading comments
+    path = _write(tmp_path, "# corpus v2\n\n" + HEADER
+                  + "#c\tx.wav\tbonafide\t-\n"
+                  + "u1\ta.wav\tbonafide\t-\n"
+                  + "# trailing note\n")
+    manifest = parse_manifest(path)
+    assert [e.utt_id for e in manifest] == ["u1"]
+
+
+def test_errors_cite_physical_line_and_file(tmp_path):
+    path = _write(tmp_path, "# note\n" + HEADER + "# skipped\n\n"
+                  + "u1\ta.wav\tgenuine\t-\n")
+    with pytest.raises(ManifestParseError) as info:
+        parse_manifest(path)
+    assert info.value.line == 5
+    assert str(path) in str(info.value)
+
+
+def test_comments_only_file_has_no_header(tmp_path):
+    path = _write(tmp_path, "# nothing here\n\n")
+    with pytest.raises(ManifestParseError, match="no header"):
+        parse_manifest(path)

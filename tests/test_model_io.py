@@ -99,3 +99,31 @@ def test_grid_descriptor_restored(model, tmp_path):
     assert loaded.feature_config.grid_size \
         == model.feature_config.effective_grid_size
     assert loaded.metadata == model.metadata
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("cqcc", "use_delta", "false"),
+    ("cqcc", "num_ceps", 6.0),
+    ("cqt", "hop", True),
+    ("cqt", "bins_per_octave_typo", 12),
+])
+def test_mistyped_config_rejected(model, tmp_path, section, key, value):
+    path = tmp_path / "m.json"
+    save_model(model, path)
+    doc = json.loads(path.read_text())
+    doc["feature_config"][section][key] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError, match=key):
+        load_model(path)
+
+
+def test_save_refuses_what_load_would_reject(model, tmp_path):
+    from dataclasses import replace
+    from spoofmeter.errors import ConfigError
+
+    config = model.feature_config
+    bad = replace(model, feature_config=replace(
+        config, cqcc=replace(config.cqcc, include_zeroth=1)))
+    with pytest.raises(ConfigError, match="include_zeroth"):
+        save_model(bad, tmp_path / "m.json")
+    assert not (tmp_path / "m.json").exists()
