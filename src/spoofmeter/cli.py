@@ -155,7 +155,7 @@ def _cmd_score(args) -> int:
     write_score_file(scores, args.out, comments=(
         f"tool: spoofmeter {__version__}",
         f"command: score --model {args.model} --eval {args.eval}",
-        f"seed: {args.seed if args.seed is not None else model.metadata.get('seed', '0')}",
+        f"seed: {model.metadata.get('seed', '0')}",
     ))
     print(f"scored {len(scores)} utterances -> {args.out}")
     return 0
@@ -180,7 +180,7 @@ def _cmd_eer(args) -> int:
     write_table(args.out, _EER_HEADER, rows, (
         f"tool: spoofmeter {__version__}",
         f"command: eer --scores {args.scores}",
-        f"seed: {args.seed if args.seed is not None else 0}",
+        "seed: 0",
     ))
     print(f"attack-averaged EER {summary.average_percent:.2f}% over "
           f"{len(summary.per_attack)} system(s) -> {args.out}")
@@ -209,7 +209,7 @@ def _cmd_report(args) -> int:
         f"tool: spoofmeter {__version__}",
         f"command: report --eer {args.eer}"
         + (f" --opinions {args.opinions}" if args.opinions else ""),
-        f"seed: {args.seed if args.seed is not None else 0}",
+        "seed: 0",
     ))
     print(f"report for {len(rows)} system(s) -> {args.out}")
     return 0
@@ -298,13 +298,11 @@ def build_parser() -> argparse.ArgumentParser:
     score.add_argument("--model", required=True)
     score.add_argument("--eval", required=True, help="evaluation manifest")
     score.add_argument("--out", required=True, help="output score TSV")
-    score.add_argument("--seed", type=int, default=None)
     score.set_defaults(func=_cmd_score)
 
     eer = sub.add_parser("eer", help="per-system and averaged EER from scores")
     eer.add_argument("--scores", required=True, help="score TSV")
     eer.add_argument("--out", required=True, help="output EER table TSV")
-    eer.add_argument("--seed", type=int, default=None)
     eer.set_defaults(func=_cmd_eer)
 
     report = sub.add_parser(
@@ -313,7 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--opinions", default=None,
                         help="optional listener-opinion TSV")
     report.add_argument("--out", required=True, help="output report TSV")
-    report.add_argument("--seed", type=int, default=None)
     report.set_defaults(func=_cmd_report)
 
     grid = sub.add_parser(

@@ -126,11 +126,6 @@ def extract_features(config: FeatureConfig, signal: AudioSignal,
                         source_id=source_id)
 
 
-def _cache_dir() -> Path | None:
-    value = os.environ.get(CACHE_ENV_VAR)
-    return Path(value) if value else None
-
-
 def _cache_key(config: FeatureConfig, path: str) -> str:
     # The WAV's size and mtime make a file replaced in place a new key.
     stat = os.stat(path)
@@ -141,15 +136,23 @@ def _cache_key(config: FeatureConfig, path: str) -> str:
 
 def _features_for_file(config: FeatureConfig, path: str,
                        utt_id: str) -> FeatureMatrix:
-    cache = _cache_dir()
-    if cache is None:
+    """Features of one WAV, through the ``SPOOFMETER_CACHE_DIR`` cache if set.
+
+    Entries are ``.npy`` arrays (:func:`write_feature_cache`). A missing or
+    unreadable entry (damaged, or in an older format) is a cache miss: the
+    features are extracted again and the entry replaced.
+    """
+    cache = os.environ.get(CACHE_ENV_VAR)
+    if not cache:
         return extract_features(config, read_wav(path), source_id=utt_id)
 
-    cache_file = cache / f"{_cache_key(config, path)}.feat"
-    if cache_file.exists():
+    cache_file = Path(cache) / f"{_cache_key(config, path)}.feat"
+    try:
         return read_feature_cache(cache_file, source_id=utt_id)
+    except (FileNotFoundError, ValueError):
+        pass
     feats = extract_features(config, read_wav(path), source_id=utt_id)
-    cache.mkdir(parents=True, exist_ok=True)
+    cache_file.parent.mkdir(parents=True, exist_ok=True)
     write_feature_cache(cache_file, feats)
     return feats
 

@@ -7,12 +7,14 @@ double-delta blocks -> optional per-utterance mean/variance normalization.
 
 No speech-activity detection is applied anywhere: frame count depends only
 on signal length and hop.
+
+A feature-cache entry is a ``.npy`` array (float64, frames by dimensions);
+an unreadable one is a miss, rebuilt by ``detector._features_for_file``.
 """
 
 from __future__ import annotations
 
 import math
-import struct
 import uuid
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,9 +33,6 @@ POWER_FLOOR = 1e-20
 
 # Two-sided regression window for deltas (5-frame regression).
 DELTA_WINDOW = 2
-
-_CACHE_MAGIC = b"CQCCFEAT"
-_CACHE_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -95,11 +94,9 @@ class FeatureMatrix:
         return self.frames.shape[1]
 
 
-def log_power(spec: CqtSpectrogram, floor: float = POWER_FLOOR) -> np.ndarray:
-    """log(max(magnitude^2, floor)), same shape as the spectrogram."""
-    if floor <= 0.0:
-        raise ConfigError("power floor must be positive")
-    return np.log(np.maximum(spec.magnitudes ** 2, floor))
+def log_power(spec: CqtSpectrogram) -> np.ndarray:
+    """log(max(magnitude^2, POWER_FLOOR)), same shape as the spectrogram."""
+    return np.log(np.maximum(spec.magnitudes ** 2, POWER_FLOOR))
 
 
 def default_grid_size(center_freqs, period: int) -> int:
@@ -231,35 +228,35 @@ def extract_cqcc(signal: AudioSignal, cqt_config: CqtConfig,
 
 
 def write_feature_cache(path, feats: FeatureMatrix) -> None:
-    """Write one utterance's features: 16-byte magic+version header, then
+    """Write ``feats`` as a ``.npy`` array (float64, frames by dimensions).
 
-    dimension and frame count as little-endian uint32, then row-major
-    little-endian float64 frames, via a ``.tmp`` file renamed over ``path``
-    so that a concurrent reader sees the whole file or none.
+    A ``.tmp`` file is renamed over ``path``, so that a concurrent reader
+    sees the whole entry or none.
     """
-    header = _CACHE_MAGIC + struct.pack("<II", _CACHE_VERSION, 0)
-    body = struct.pack("<II", feats.dim, feats.n_frames)
-    data = np.ascontiguousarray(feats.frames, dtype="<f8").tobytes()
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
     try:
-        tmp.write_bytes(header + body + data)
+        with open(tmp, "wb") as f:
+            np.save(f, feats.frames, allow_pickle=False)
         tmp.replace(path)
     finally:
         tmp.unlink(missing_ok=True)
 
 
 def read_feature_cache(path, source_id: str = "") -> FeatureMatrix:
-    """Read a file written by :func:`write_feature_cache`."""
-    raw = Path(path).read_bytes()
-    if len(raw) < 24 or raw[:8] != _CACHE_MAGIC:
-        raise ValueError(f"{path}: not a feature cache file")
-    version, _ = struct.unpack_from("<II", raw, 8)
-    if version != _CACHE_VERSION:
-        raise ValueError(f"{path}: unsupported cache version {version}")
-    dim, n_frames = struct.unpack_from("<II", raw, 16)
-    expected = 24 + 8 * dim * n_frames
-    if len(raw) != expected:
-        raise ValueError(f"{path}: expected {expected} bytes, found {len(raw)}")
-    frames = np.frombuffer(raw, dtype="<f8", offset=24).reshape(n_frames, dim)
-    return FeatureMatrix(frames, source_id=source_id)
+    """Read an entry written by :func:`write_feature_cache`.
+
+    Raises ``ValueError`` naming ``path`` unless the file holds a finite 2-D
+    float64 array, and ``FileNotFoundError`` if there is no file.
+    """
+    with open(path, "rb") as f:
+        # np.load documents no set of errors: damaged bytes raise ValueError,
+        # EOFError, SyntaxError, tokenize.TokenError or zipfile.BadZipFile.
+        try:
+            frames = np.load(f, allow_pickle=False)
+            if getattr(frames, "dtype", None) != np.float64:
+                raise ValueError("not a float64 array")
+            return FeatureMatrix(frames, source_id=source_id)
+        except Exception as exc:
+            raise ValueError(
+                f"{path}: unreadable feature cache entry ({exc})") from exc

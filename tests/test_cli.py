@@ -105,6 +105,16 @@ class TestTrainScoreEer:
         assert eers["(average)"] == pytest.approx(
             (eers["sysA"] + eers["sysB"]) / 2.0)
 
+    def test_score_keeps_the_model_seed_and_takes_no_seed_flag(
+            self, workspace, trained_model, capsys):
+        out = workspace["root"] / "seeded.tsv"
+        args = ["score", "--model", str(trained_model),
+                "--eval", str(workspace["eval"]), "--out", str(out)]
+        assert main(args + ["--seed", "9"]) == 1
+        assert "--seed" in capsys.readouterr().err
+        assert main(args) == 0
+        assert "# seed: 7\n" in out.read_text()
+
 
 class TestReport:
     @pytest.fixture()

@@ -23,6 +23,7 @@ from spoofmeter.errors import (
     DimMismatchError,
     EmptyManifestError,
 )
+from spoofmeter.features import read_feature_cache
 from spoofmeter.manifest import Manifest
 
 LOW_BAND = (300.0, 900.0)
@@ -268,6 +269,32 @@ class TestFeatureCacheIntegration:
         uncached = train_detector(nat, art, FEATURE_CONFIG, GMM_CONFIG)
         assert np.array_equal(cached.nat.means, uncached.nat.means)
         assert np.array_equal(cached.nat.variances, uncached.nat.variances)
+
+    def test_unreadable_entries_are_rebuilt(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(47)
+        nat = parse_manifest(_class_corpus(
+            tmp_path / "n", rng, LOW_BAND, "bonafide", "-", 3, "n"))
+        art = parse_manifest(_class_corpus(
+            tmp_path / "a", rng, HIGH_BAND, "spoof", "vcX", 3, "a"))
+        uncached = train_detector(nat, art, FEATURE_CONFIG, GMM_CONFIG)
+
+        cache = tmp_path / "cache"
+        monkeypatch.setenv(CACHE_ENV_VAR, str(cache))
+        train_detector(nat, art, FEATURE_CONFIG, GMM_CONFIG)
+        truncated, old_format, empty = sorted(cache.glob("*.feat"))[:3]
+        truncated.write_bytes(truncated.read_bytes()[:100])
+        old_format.write_bytes(b"CQCCFEAT" + bytes(16))
+        empty.write_bytes(b"")
+
+        rebuilt = train_detector(nat, art, FEATURE_CONFIG, GMM_CONFIG)
+        for gmm in ("nat", "artif"):
+            for part in ("weights", "means", "variances"):
+                assert (getattr(getattr(rebuilt, gmm), part).tobytes()
+                        == getattr(getattr(uncached, gmm), part).tobytes())
+        entries = sorted(cache.iterdir())
+        assert len(entries) == 6
+        for entry in entries:
+            assert read_feature_cache(entry).n_frames > 0
 
 
 def test_helpers_config_sanity():

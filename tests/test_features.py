@@ -39,7 +39,7 @@ class TestLogPower:
         assert np.allclose(out, 0.0)
 
     def test_floor_engages_on_zero(self):
-        out = log_power(_spec_from([[0.0]]), floor=1e-20)
+        out = log_power(_spec_from([[0.0]]))
         assert np.allclose(out, np.log(1e-20))
         assert abs(out[0, 0] - (-46.0517)) < 1e-3
 
@@ -265,6 +265,10 @@ class TestFeatureCache:
         path.write_bytes(b"\x00" * 40)
         with pytest.raises(ValueError):
             read_feature_cache(path)
+
+    def test_missing_file_is_not_found(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            read_feature_cache(tmp_path / "absent.feat")
 
     def test_truncation_detected(self, tmp_path):
         feats = FeatureMatrix(np.zeros((4, 3)))

@@ -2,18 +2,24 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from helpers import small_feature_config
 from spoofmeter import (
     CqccConfig,
     CqtConfig,
     DetectorModel,
     DiagGmm,
+    FeatureMatrix,
+    compute_eer,
+    llr_score,
     load_model,
     save_model,
 )
 from spoofmeter.detector import FeatureConfig
+from spoofmeter.features import read_feature_cache, write_feature_cache
 from spoofmeter.tables import read_table, write_table
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
@@ -123,3 +129,100 @@ def test_write_table_refuses_what_would_not_read_back(scratch, rows):
 def test_write_table_refuses_wrong_width(scratch):
     with pytest.raises(ValueError):
         write_table(scratch / "w.tsv", COLUMNS, [["a", "b"]])
+
+
+# --- feature cache ---------------------------------------------------------
+
+# Signed zeros and subnormals next to ordinary values: the entry must keep
+# every bit, not just every value.
+_FEATURE_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310]),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@PROPERTY_SETTINGS
+@given(frames=arrays(np.float64, st.tuples(st.integers(0, 12), st.integers(1, 6)),
+                     elements=_FEATURE_VALUES))
+def test_feature_cache_round_trip_is_bit_exact(scratch, frames):
+    path = scratch / "entry.feat"
+    write_feature_cache(path, FeatureMatrix(frames))
+    back = read_feature_cache(path, source_id="u")
+    assert back.frames.shape == frames.shape
+    assert back.frames.tobytes() == frames.tobytes()
+    assert back.source_id == "u"
+
+
+@PROPERTY_SETTINGS
+@given(cut=st.integers(0, 200), patch=st.binary(max_size=40),
+       overwrite=st.booleans())
+@example(cut=0, patch=b"", overwrite=False)
+@example(cut=0, patch=b"PK\x03\x04", overwrite=False)  # zip magic: np.load's npz path
+@example(cut=0, patch=b"CQCCFEAT" + bytes(16), overwrite=False)  # an older format
+def test_damaged_feature_cache_entry_raises_value_error(scratch, cut, patch,
+                                                        overwrite):
+    path = scratch / "damaged.feat"
+    write_feature_cache(path, FeatureMatrix(np.ones((3, 4))))
+    data = path.read_bytes()
+    rest = data[cut + len(patch):] if overwrite else b""
+    path.write_bytes(data[:cut] + patch + rest)
+    try:
+        feats = read_feature_cache(path)
+    except ValueError as exc:
+        assert str(path) in str(exc)
+    else:  # the damage happened to leave a well-formed entry
+        assert np.all(np.isfinite(feats.frames))
+
+
+# --- EER -------------------------------------------------------------------
+
+# Strictly increasing maps that are exact in float64 on the integer scores
+# generated below, so they cannot merge two distinct scores into a tie.
+_INCREASING_MAPS = st.one_of(
+    st.integers(-6, 6).map(lambda k: lambda x: x * 2.0 ** k),
+    st.integers(-10**6, 10**6).map(lambda c: lambda x: x + c),
+    st.just(lambda x: x ** 3))
+
+_INTEGER_SCORES = st.lists(st.integers(-1000, 1000), min_size=1, max_size=30)
+
+
+@PROPERTY_SETTINGS
+@given(bona=_INTEGER_SCORES, spoof=_INTEGER_SCORES, transform=_INCREASING_MAPS)
+def test_eer_is_unchanged_by_increasing_maps(bona, spoof, transform):
+    bona = np.array(bona, dtype=np.float64)
+    spoof = np.array(spoof, dtype=np.float64)
+    before = compute_eer(bona, spoof)
+    after = compute_eer(transform(bona), transform(spoof))
+    assert after.eer_percent == before.eer_percent
+    assert (after.n_bonafide, after.n_spoof) == (before.n_bonafide, before.n_spoof)
+
+
+# --- LLR -------------------------------------------------------------------
+
+@st.composite
+def diag_gmms(draw, dim):
+    n_components = draw(st.integers(1, 3))
+    weights = draw(arrays(np.float64, n_components, elements=st.floats(0.1, 1.0)))
+    means = draw(arrays(np.float64, (n_components, dim),
+                        elements=st.floats(-10.0, 10.0)))
+    variances = draw(arrays(np.float64, (n_components, dim),
+                            elements=st.floats(1e-2, 10.0)))
+    return DiagGmm(weights / weights.sum(), means, variances)
+
+
+@st.composite
+def detector_cases(draw):
+    dim = draw(st.integers(1, 4))
+    config = small_feature_config(num_ceps=dim, use_static=True,
+                                  use_delta=False, use_delta2=False)
+    model = DetectorModel(draw(diag_gmms(dim)), draw(diag_gmms(dim)), config)
+    frames = draw(arrays(np.float64, (draw(st.integers(1, 8)), dim),
+                         elements=st.floats(-20.0, 20.0)))
+    return model, FeatureMatrix(frames)
+
+
+@PROPERTY_SETTINGS
+@given(case=detector_cases())
+def test_llr_negates_exactly_when_models_swap(case):
+    model, feats = case
+    swapped = DetectorModel(model.artif, model.nat, model.feature_config)
+    assert llr_score(swapped, feats) == -llr_score(model, feats)
