@@ -37,7 +37,6 @@ from .gmm import (
     DiagGmm,
     GmmTrainConfig,
     avg_log_likelihood,
-    frame_log_likelihood,
     train_gmm,
 )
 from .manifest import Manifest, ManifestEntry, parse_manifest
@@ -63,8 +62,7 @@ __all__ = [
     "CqccConfig", "FeatureMatrix", "log_power", "uniform_resample",
     "dct_truncate", "append_deltas", "cmvn", "extract_cqcc",
     "read_feature_cache", "write_feature_cache",
-    "DiagGmm", "GmmTrainConfig", "train_gmm", "frame_log_likelihood",
-    "avg_log_likelihood",
+    "DiagGmm", "GmmTrainConfig", "train_gmm", "avg_log_likelihood",
     "FeatureConfig", "default_feature_config", "DetectorModel",
     "extract_features", "train_detector", "llr_score", "score_batch",
     "write_score_file", "read_score_file",

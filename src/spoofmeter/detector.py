@@ -223,10 +223,6 @@ def llr_score(model: DetectorModel, utterance) -> float:
     score exactly.
     """
     if isinstance(utterance, FeatureMatrix):
-        if utterance.dim != model.feature_config.output_dim:
-            raise DimMismatchError(
-                f"cached features of dim {utterance.dim} against a model "
-                f"expecting {model.feature_config.output_dim}")
         feats = utterance
     elif isinstance(utterance, AudioSignal):
         feats = extract_features(model.feature_config, utterance)

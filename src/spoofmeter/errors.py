@@ -104,11 +104,7 @@ class EmptyPopulationError(DataError):
 
 
 class NoSpoofSystemsError(DataError):
-    """Score set lacks spoof trials for a requested system."""
-
-
-class NoRatingsError(DataError):
-    """Opinion aggregation requested for a system with zero ratings."""
+    """Score set has no spoof trials."""
 
 
 class SchemaError(DataError):

@@ -156,43 +156,45 @@ def _split(weights, means, variances):
     return weights, means, variances
 
 
-def _component_log_pdf(frames, means, variances):
-    # (n, C) matrix of per-component Gaussian log densities.
+def _log_likelihood_chunks(frames, weights, means, variances):
+    """Yield ``(x, joint, frame_ll)`` for each chunk of frames.
+
+    A chunk holds at most ``_MAX_CHUNK_FLOATS / C`` frames. ``joint`` is its
+    (n, C) matrix of log weight plus component log density and ``frame_ll``
+    the log-sum-exp of that over components. The model constants are
+    computed once per call, not per chunk.
+    """
     inv = 1.0 / variances
     const = -0.5 * (means.shape[1] * _LOG_2PI + np.sum(np.log(variances), axis=1))
-    quad = (0.5 * (frames ** 2) @ inv.T
-            - frames @ (means * inv).T
-            + 0.5 * np.sum(means ** 2 * inv, axis=1))
-    return const - quad
-
-
-def _log_weights(weights):
+    inv_t = inv.T
+    scaled_means_t = (means * inv).T
+    mean_term = 0.5 * np.sum(means ** 2 * inv, axis=1)
     with np.errstate(divide="ignore"):
-        return np.log(weights)
+        log_w = np.log(weights)
+    chunk = max(1, _MAX_CHUNK_FLOATS // weights.shape[0])
+    for lo in range(0, frames.shape[0], chunk):
+        x = frames[lo:lo + chunk]
+        # One expression, so no (n, C) temporary outlives the yield; this
+        # operation order is what saved models and scores were written with.
+        joint = (const - (0.5 * (x ** 2) @ inv_t - x @ scaled_means_t
+                          + mean_term)) + log_w
+        yield x, joint, logsumexp(joint, axis=1)
 
 
 def _accumulate(frames, weights, means, variances):
     """One E-step: average log-likelihood plus sufficient statistics."""
-    n_frames = frames.shape[0]
-    n_comp = weights.shape[0]
-    log_w = _log_weights(weights)
-
     total_ll = 0.0
-    counts = np.zeros(n_comp)
+    counts = np.zeros(weights.shape[0])
     sum_x = np.zeros_like(means)
     sum_x2 = np.zeros_like(means)
-
-    chunk = max(1, _MAX_CHUNK_FLOATS // n_comp)
-    for lo in range(0, n_frames, chunk):
-        x = frames[lo:lo + chunk]
-        joint = _component_log_pdf(x, means, variances) + log_w
-        frame_ll = logsumexp(joint, axis=1)
+    for x, joint, frame_ll in _log_likelihood_chunks(
+            frames, weights, means, variances):
         resp = np.exp(joint - frame_ll[:, None])
         total_ll += frame_ll.sum()
         counts += resp.sum(axis=0)
         sum_x += resp.T @ x
         sum_x2 += resp.T @ (x ** 2)
-    return total_ll / n_frames, counts, sum_x, sum_x2
+    return total_ll / frames.shape[0], counts, sum_x, sum_x2
 
 
 def _maximize(counts, sum_x, sum_x2, old_means, old_variances, floor, n_frames):
@@ -214,24 +216,9 @@ def frame_log_likelihoods(gmm: DiagGmm, frames) -> np.ndarray:
     if frames.ndim != 2 or frames.shape[1] != gmm.dim:
         raise DimMismatchError(
             f"frames of dim {frames.shape[-1]} against a {gmm.dim}-dim model")
-    log_w = _log_weights(gmm.weights)
-    out = np.empty(frames.shape[0])
-    chunk = max(1, _MAX_CHUNK_FLOATS // gmm.n_components)
-    for lo in range(0, frames.shape[0], chunk):
-        joint = _component_log_pdf(frames[lo:lo + chunk], gmm.means,
-                                   gmm.variances) + log_w
-        out[lo:lo + chunk] = logsumexp(joint, axis=1)
-    return out
-
-
-def frame_log_likelihood(gmm: DiagGmm, y) -> float:
-    """Mixture log-likelihood of a single D-dimensional frame."""
-    y = np.asarray(y, dtype=np.float64)
-    if y.ndim != 1 or y.shape[0] != gmm.dim:
-        raise DimMismatchError(
-            f"frame of dim {y.shape[-1] if y.ndim else 0} against a "
-            f"{gmm.dim}-dim model")
-    return float(frame_log_likelihoods(gmm, y[None, :])[0])
+    chunks = _log_likelihood_chunks(
+        frames, gmm.weights, gmm.means, gmm.variances)
+    return np.concatenate([np.empty(0)] + [ll for _, _, ll in chunks])
 
 
 def avg_log_likelihood(gmm: DiagGmm, feats) -> float:
@@ -240,7 +227,8 @@ def avg_log_likelihood(gmm: DiagGmm, feats) -> float:
     Frame averaging (rather than summing) makes utterance scores comparable
     across durations. Accepts a :class:`FeatureMatrix` or a plain array.
     """
-    frames = feats.frames if isinstance(feats, FeatureMatrix) else np.asarray(feats)
-    if frames.shape[0] < 1:
+    frames = feats.frames if isinstance(feats, FeatureMatrix) else feats
+    frame_ll = frame_log_likelihoods(gmm, frames)
+    if frame_ll.size == 0:
         raise EmptyFeaturesError("cannot average over zero frames")
-    return float(frame_log_likelihoods(gmm, frames).mean())
+    return float(frame_ll.mean())

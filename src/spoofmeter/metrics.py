@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import EmptyPopulationError, NoRatingsError, NoSpoofSystemsError
+from .errors import EmptyPopulationError, NoSpoofSystemsError
 from .tables import read_table
 
 BONAFIDE = "bonafide"
@@ -179,14 +179,11 @@ def compute_eer(bona_scores, spoof_scores) -> EerResult:
     )
 
 
-def attack_averaged_eer(scores: ScoreSet,
-                        require_systems=None) -> AttackEerSummary:
+def attack_averaged_eer(scores: ScoreSet) -> AttackEerSummary:
     """EER per spoof system against the common bona fide population.
 
     The summary value is the unweighted arithmetic mean of the per-attack
-    EERs. ``require_systems`` lets callers insist that particular systems
-    contribute trials; a named system with none raises
-    :class:`NoSpoofSystemsError`.
+    EERs.
     """
     bona = scores.bona_scores()
     if bona.size == 0:
@@ -194,11 +191,6 @@ def attack_averaged_eer(scores: ScoreSet,
     systems = scores.systems()
     if not systems:
         raise NoSpoofSystemsError("score set has no spoof records")
-    if require_systems is not None:
-        missing = sorted(set(require_systems) - set(systems))
-        if missing:
-            raise NoSpoofSystemsError(
-                f"no spoof trials for system(s): {', '.join(missing)}")
 
     per_attack = {}
     for system in systems:
@@ -237,21 +229,14 @@ class OpinionRecord:
             raise ValueError(f"opinion score must be 1..5, got {self.score}")
 
 
-def compute_mos(records, systems=None) -> dict:
+def compute_mos(records) -> dict:
     """Mean opinion score per system: the plain mean over obtained ratings.
 
-    Pairs nobody rated simply do not contribute. Passing ``systems`` makes
-    missing ratings an error instead of an absent key.
+    Pairs nobody rated simply do not contribute.
     """
     by_system = {}
     for rec in records:
         by_system.setdefault(rec.system_id, []).append(rec.score)
-    if systems is not None:
-        missing = sorted(set(systems) - set(by_system))
-        if missing:
-            raise NoRatingsError(
-                f"no opinion records for system(s): {', '.join(missing)}")
-        by_system = {s: by_system[s] for s in systems}
     return {s: float(np.mean(v)) for s, v in sorted(by_system.items())}
 
 

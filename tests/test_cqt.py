@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from helpers import RATE, SMALL_CQT, tone
+from helpers import RATE, SMALL_CQT, noise_signal, tone
 from spoofmeter import AudioSignal, CqtConfig, cqt_spectrogram, default_cqt_config
+from spoofmeter import cqt as cqt_module
 from spoofmeter.errors import ConfigError, SignalTooShortError
 
 
@@ -39,6 +40,18 @@ def test_tone_peaks_at_its_bin():
     spec = cqt_spectrogram(tone(freq, n_samples=8000, amplitude=0.5), SMALL_CQT)
     mid = spec.magnitudes[spec.n_frames // 2]
     assert int(np.argmax(mid)) == k
+
+
+def test_frame_chunks_match_single_chunk(monkeypatch):
+    # 25 frames; the longest (539-sample) window gets chunks of 4, the last
+    # one short.
+    signal = noise_signal(np.random.default_rng(3), 4000)
+    whole = cqt_spectrogram(signal, SMALL_CQT).magnitudes
+    longest = int(SMALL_CQT.window_lengths(RATE)[0])
+    monkeypatch.setattr(cqt_module, "_MAX_GATHER_FLOATS", 4 * longest)
+    chunked = cqt_spectrogram(signal, SMALL_CQT).magnitudes
+    assert whole.shape[0] % 4 != 0
+    np.testing.assert_allclose(chunked, whole, rtol=0, atol=1e-12)
 
 
 def test_homogeneity():

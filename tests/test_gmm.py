@@ -5,9 +5,10 @@ from spoofmeter import (
     DiagGmm,
     GmmTrainConfig,
     avg_log_likelihood,
-    frame_log_likelihood,
     train_gmm,
 )
+from spoofmeter import gmm as gmm_module
+from spoofmeter.gmm import frame_log_likelihoods
 from spoofmeter.errors import (
     ConfigError,
     DegenerateDataError,
@@ -25,6 +26,10 @@ def naive_mixture_loglik(gmm, y):
                         / np.sqrt(2 * np.pi * var))
         total += w * gauss
     return np.log(total)
+
+
+def one_frame(gmm, y):
+    return frame_log_likelihoods(gmm, np.asarray(y)[None, :])[0]
 
 
 class TestTraining:
@@ -105,7 +110,7 @@ class TestFrameLogLikelihood:
         gmm = DiagGmm(weights=np.array([1.0]), means=mu[None],
                       variances=var[None])
         expected = -0.5 * np.sum(np.log(2 * np.pi * var))
-        assert abs(frame_log_likelihood(gmm, mu) - expected) < 1e-12
+        assert abs(one_frame(gmm, mu) - expected) < 1e-12
 
     def test_identical_components_collapse(self):
         mu = np.array([[0.5, 0.5]])
@@ -115,13 +120,12 @@ class TestFrameLogLikelihood:
                          means=np.vstack([mu, mu]),
                          variances=np.vstack([var, var]))
         y = np.array([1.0, -1.0])
-        assert abs(frame_log_likelihood(single, y)
-                   - frame_log_likelihood(double, y)) < 1e-12
+        assert abs(one_frame(single, y) - one_frame(double, y)) < 1e-12
 
     def test_extreme_input_stays_finite(self):
         gmm = DiagGmm(weights=np.array([1.0]), means=np.zeros((1, 4)),
                       variances=np.ones((1, 4)))
-        value = frame_log_likelihood(gmm, np.full(4, 1e6))
+        value = one_frame(gmm, np.full(4, 1e6))
         assert np.isfinite(value)
         assert value < -1e11
 
@@ -133,14 +137,13 @@ class TestFrameLogLikelihood:
         shuffled = DiagGmm(weights=gmm.weights[perm], means=gmm.means[perm],
                            variances=gmm.variances[perm])
         y = rng.standard_normal(3)
-        assert abs(frame_log_likelihood(gmm, y)
-                   - frame_log_likelihood(shuffled, y)) < 1e-12
+        assert abs(one_frame(gmm, y) - one_frame(shuffled, y)) < 1e-12
 
     def test_dim_mismatch(self):
         gmm = DiagGmm(weights=np.array([1.0]), means=np.zeros((1, 3)),
                       variances=np.ones((1, 3)))
         with pytest.raises(DimMismatchError):
-            frame_log_likelihood(gmm, np.zeros(4))
+            frame_log_likelihoods(gmm, np.zeros((1, 4)))
 
     def test_matches_naive_oracle(self):
         rng = np.random.default_rng(26)
@@ -148,8 +151,47 @@ class TestFrameLogLikelihood:
                         GmmTrainConfig(target_components=2))
         for _ in range(10):
             y = rng.standard_normal(2)
-            assert abs(frame_log_likelihood(gmm, y)
+            assert abs(one_frame(gmm, y)
                        - naive_mixture_loglik(gmm, y)) < 1e-10
+
+
+class TestChunking:
+    """One call spanning several chunks, the last one short, must agree with
+    the same call in a single chunk."""
+
+    def _setup(self):
+        rng = np.random.default_rng(28)
+        gmm = train_gmm(rng.standard_normal((400, 3)),
+                        GmmTrainConfig(target_components=4))
+        return gmm, rng.standard_normal((50, 3))
+
+    def test_chunks_are_bounded(self, monkeypatch):
+        gmm, frames = self._setup()
+        monkeypatch.setattr(gmm_module, "_MAX_CHUNK_FLOATS", 7 * 4)
+        chunks = gmm_module._log_likelihood_chunks(
+            frames, gmm.weights, gmm.means, gmm.variances)
+        assert [len(x) for x, _, _ in chunks] == [7] * 7 + [1]
+
+    def test_scores_match_single_chunk(self, monkeypatch):
+        gmm, frames = self._setup()
+        whole = frame_log_likelihoods(gmm, frames)
+        monkeypatch.setattr(gmm_module, "_MAX_CHUNK_FLOATS", 7 * 4)
+        chunked = frame_log_likelihoods(gmm, frames)
+        np.testing.assert_allclose(chunked, whole, rtol=1e-12, atol=0)
+
+    def test_estep_statistics_match_single_chunk(self, monkeypatch):
+        gmm, frames = self._setup()
+        args = (frames, gmm.weights, gmm.means, gmm.variances)
+        whole = gmm_module._accumulate(*args)
+        monkeypatch.setattr(gmm_module, "_MAX_CHUNK_FLOATS", 7 * 4)
+        chunked = gmm_module._accumulate(*args)
+        for a, b in zip(chunked, whole):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=0)
+
+    def test_zero_frames_give_empty_scores(self):
+        gmm, _ = self._setup()
+        out = frame_log_likelihoods(gmm, np.zeros((0, 3)))
+        assert out.shape == (0,)
 
 
 class TestAvgLogLikelihood:
@@ -162,7 +204,7 @@ class TestAvgLogLikelihood:
         gmm, rng = self._model()
         y = rng.standard_normal(3)
         assert abs(avg_log_likelihood(gmm, y[None, :])
-                   - frame_log_likelihood(gmm, y)) < 1e-12
+                   - one_frame(gmm, y)) < 1e-12
 
     def test_duplication_invariance(self):
         gmm, rng = self._model()
