@@ -5,6 +5,12 @@ exponential whose length keeps the ratio of center frequency to bandwidth
 constant. Kernels are evaluated directly (no FFT sparsification): at the
 corpus sizes this package targets, the O(K * N_k) per-frame cost is an
 acceptable price for a correctness-first implementation.
+
+Each bin is one matrix-vector product of a zero-copy strided view (every
+frame's window, read in place from the padded signal) with its cosine and
+sine kernels. Bins are not batched: the unrounded lengths of adjacent bins
+differ by ``rate / f_(k+1)``, more than 2 samples below Nyquist, so no two
+bins ever share a window length.
 """
 
 from __future__ import annotations
@@ -17,9 +23,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .audio_io import AudioSignal
 from .errors import ConfigError, SignalTooShortError
-
-# Bound on the scratch matrix (frames x window) built per bin group, in floats.
-_MAX_GATHER_FLOATS = 8_000_000
 
 # The package-wide default grid: the reference CQCC front end's (Todisco 2017).
 DEFAULT_SAMPLE_RATE = 16000
@@ -129,43 +132,24 @@ def cqt_spectrogram(signal: AudioSignal, config: CqtConfig) -> CqtSpectrogram:
 
     hop = config.hop
     n_frames = (len(signal) - 1) // hop + 1
-    centers = np.arange(n_frames) * hop
     freqs = config.center_freqs
 
     pad = longest // 2 + 2
     padded = np.pad(signal.samples, pad)
 
     magnitudes = np.empty((n_frames, config.n_bins))
-    # ceil() makes runs of adjacent bins share a window length; batch each run
-    # into one matrix product. Fixed bin and frame order keeps the reduction
-    # deterministic.
-    for win_len, k_lo, k_hi in _length_groups(lengths):
+    for k, win_len in enumerate(lengths):
         n = np.arange(win_len) - (win_len - 1) / 2.0
         window = np.hanning(win_len) / win_len
-        phase = 2.0 * np.pi * np.outer(n, freqs[k_lo:k_hi]) / rate
-        kernel_re = window[:, None] * np.cos(phase)
-        kernel_im = window[:, None] * np.sin(phase)
-
-        starts = centers - win_len // 2 + pad
-        windows = sliding_window_view(padded, win_len)
-        chunk = max(1, _MAX_GATHER_FLOATS // win_len)
-        for lo in range(0, n_frames, chunk):
-            segs = windows[starts[lo:lo + chunk]]
-            re = segs @ kernel_re
-            im = segs @ kernel_im
-            magnitudes[lo:lo + chunk, k_lo:k_hi] = np.hypot(re, im)
+        phase = 2.0 * np.pi * (n * freqs[k]) / rate
+        start = pad - win_len // 2
+        frames = sliding_window_view(padded, win_len)[start::hop][:n_frames]
+        magnitudes[:, k] = np.hypot(frames @ (window * np.cos(phase)),
+                                    frames @ (window * np.sin(phase)))
 
     return CqtSpectrogram(
         magnitudes=magnitudes,
         center_freqs=freqs,
-        frame_times=centers / rate,
+        frame_times=np.arange(n_frames) * hop / rate,
     )
 
-
-def _length_groups(lengths):
-    """Yield (window_length, first_bin, one_past_last_bin) for runs of equal length."""
-    start = 0
-    for k in range(1, len(lengths) + 1):
-        if k == len(lengths) or lengths[k] != lengths[start]:
-            yield int(lengths[start]), start, k
-            start = k

@@ -45,6 +45,10 @@ import numpy as np
 
 CACHE_ENV_VAR = "SPOOFMETER_CACHE_DIR"
 
+# Part of every feature cache key. Bump it whenever extraction output changes,
+# even in the last bits, so that entries an older front end wrote are rebuilt.
+_FRONTEND_REVISION = 2
+
 
 @dataclass(frozen=True)
 class FeatureConfig:
@@ -129,8 +133,8 @@ def extract_features(config: FeatureConfig, signal: AudioSignal,
 def _cache_key(config: FeatureConfig, path: str) -> str:
     # The WAV's size and mtime make a file replaced in place a new key.
     stat = os.stat(path)
-    doc = [str(Path(path).resolve()), stat.st_size, stat.st_mtime_ns,
-           to_doc(config), config.effective_grid_size]
+    doc = [_FRONTEND_REVISION, str(Path(path).resolve()), stat.st_size,
+           stat.st_mtime_ns, to_doc(config), config.effective_grid_size]
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()[:24]
 
 

@@ -215,7 +215,7 @@ def frame_log_likelihoods(gmm: DiagGmm, frames) -> np.ndarray:
     frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim != 2 or frames.shape[1] != gmm.dim:
         raise DimMismatchError(
-            f"frames of dim {frames.shape[-1]} against a {gmm.dim}-dim model")
+            f"frames of shape {frames.shape} against a {gmm.dim}-dim model")
     chunks = _log_likelihood_chunks(
         frames, gmm.weights, gmm.means, gmm.variances)
     return np.concatenate([np.empty(0)] + [ll for _, _, ll in chunks])

@@ -3,7 +3,6 @@ import pytest
 
 from helpers import RATE, SMALL_CQT, noise_signal, tone
 from spoofmeter import AudioSignal, CqtConfig, cqt_spectrogram, default_cqt_config
-from spoofmeter import cqt as cqt_module
 from spoofmeter.errors import ConfigError, SignalTooShortError
 
 
@@ -42,16 +41,27 @@ def test_tone_peaks_at_its_bin():
     assert int(np.argmax(mid)) == k
 
 
-def test_frame_chunks_match_single_chunk(monkeypatch):
-    # 25 frames; the longest (539-sample) window gets chunks of 4, the last
-    # one short.
-    signal = noise_signal(np.random.default_rng(3), 4000)
-    whole = cqt_spectrogram(signal, SMALL_CQT).magnitudes
-    longest = int(SMALL_CQT.window_lengths(RATE)[0])
-    monkeypatch.setattr(cqt_module, "_MAX_GATHER_FLOATS", 4 * longest)
-    chunked = cqt_spectrogram(signal, SMALL_CQT).magnitudes
-    assert whole.shape[0] % 4 != 0
-    np.testing.assert_allclose(chunked, whole, rtol=0, atol=1e-12)
+@pytest.mark.parametrize("n_samples", [4000, 4001])
+def test_matches_naive_inner_products(n_samples):
+    # Oracle from the docstring's definition: every (frame, bin) inner product
+    # of a zero-padded copy with a Hann-windowed complex exponential centered
+    # at t * hop, normalized by N_k. 4001 samples give a short last frame.
+    signal = noise_signal(np.random.default_rng(3), n_samples)
+    spec = cqt_spectrogram(signal, SMALL_CQT)
+    lengths = SMALL_CQT.window_lengths(RATE)
+    pad = int(lengths[0])
+    padded = np.concatenate([np.zeros(pad), signal.samples, np.zeros(pad)])
+    expected = np.empty_like(spec.magnitudes)
+    for k, (win_len, freq) in enumerate(zip(lengths, SMALL_CQT.center_freqs)):
+        n = np.arange(win_len) - (win_len - 1) / 2.0
+        kernel = (np.hanning(win_len) / win_len
+                  * np.exp(2j * np.pi * freq * n / RATE))
+        for t in range(spec.n_frames):
+            start = pad + t * SMALL_CQT.hop - win_len // 2
+            expected[t, k] = abs(np.dot(padded[start:start + win_len], kernel))
+    assert spec.n_frames == (n_samples - 1) // SMALL_CQT.hop + 1
+    np.testing.assert_allclose(spec.magnitudes, expected, rtol=0,
+                               atol=1e-12 * spec.magnitudes.max())
 
 
 def test_homogeneity():

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,13 +19,14 @@ from spoofmeter import (
     train_detector,
     write_score_file,
 )
+from spoofmeter.config import to_doc
 from spoofmeter.detector import CACHE_ENV_VAR, extract_features
 from spoofmeter.errors import (
     BatchScoringError,
     DimMismatchError,
     EmptyManifestError,
 )
-from spoofmeter.features import read_feature_cache
+from spoofmeter.features import read_feature_cache, write_feature_cache
 from spoofmeter.manifest import Manifest
 
 LOW_BAND = (300.0, 900.0)
@@ -295,6 +298,38 @@ class TestFeatureCacheIntegration:
         assert len(entries) == 6
         for entry in entries:
             assert read_feature_cache(entry).n_frames > 0
+
+    def test_entries_of_an_older_front_end_are_not_served(self, tmp_path,
+                                                          monkeypatch):
+        # Entries keyed as before the front-end revision joined the key hold
+        # another CQT's output; a finite sentinel stands in for it.
+        rng = np.random.default_rng(49)
+        nat = parse_manifest(_class_corpus(
+            tmp_path / "n", rng, LOW_BAND, "bonafide", "-", 3, "n"))
+        art = parse_manifest(_class_corpus(
+            tmp_path / "a", rng, HIGH_BAND, "spoof", "vcX", 3, "a"))
+        uncached = train_detector(nat, art, FEATURE_CONFIG, GMM_CONFIG)
+
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        sentinel = FeatureMatrix(rng.standard_normal((30, uncached.nat.dim)))
+        files = [*nat, *art]
+        for entry in files:
+            stat = os.stat(entry.path)
+            doc = [str(Path(entry.path).resolve()), stat.st_size,
+                   stat.st_mtime_ns, to_doc(FEATURE_CONFIG),
+                   FEATURE_CONFIG.effective_grid_size]
+            key = hashlib.sha256(
+                json.dumps(doc, sort_keys=True).encode()).hexdigest()[:24]
+            write_feature_cache(cache / f"{key}.feat", sentinel)
+        monkeypatch.setenv(CACHE_ENV_VAR, str(cache))
+        cached = train_detector(nat, art, FEATURE_CONFIG, GMM_CONFIG)
+
+        for gmm in ("nat", "artif"):
+            for part in ("weights", "means", "variances"):
+                assert (getattr(getattr(cached, gmm), part).tobytes()
+                        == getattr(getattr(uncached, gmm), part).tobytes())
+        assert len(list(cache.glob("*.feat"))) == 2 * len(files)
 
 
 def test_helpers_config_sanity():

@@ -142,8 +142,9 @@ class TestFrameLogLikelihood:
     def test_dim_mismatch(self):
         gmm = DiagGmm(weights=np.array([1.0]), means=np.zeros((1, 3)),
                       variances=np.ones((1, 3)))
-        with pytest.raises(DimMismatchError):
-            frame_log_likelihoods(gmm, np.zeros((1, 4)))
+        for frames in (np.zeros((1, 4)), np.zeros(3), 5.0):
+            with pytest.raises(DimMismatchError, match="shape"):
+                frame_log_likelihoods(gmm, frames)
 
     def test_matches_naive_oracle(self):
         rng = np.random.default_rng(26)
