@@ -225,10 +225,11 @@ def _cmd_grid(args) -> int:
         raise UsageError("grid: --variants is empty")
     variant_flags = {v: parse_variant(v) for v in variants}
     try:
-        gaussians = [int(c) for c in args.gaussians.split(",") if c.strip()]
-    except ValueError as exc:
+        cell_gmms = [replace(gmm_config, target_components=int(c))
+                     for c in args.gaussians.split(",") if c.strip()]
+    except (ValueError, ConfigError) as exc:
         raise UsageError(f"grid: bad --gaussians value ({exc})") from None
-    if not gaussians:
+    if not cell_gmms:
         raise UsageError("grid: --gaussians is empty")
     cmvn_settings = {"raw": [False], "cmvn": [True],
                      "both": [False, True]}[args.cmvn]
@@ -245,8 +246,8 @@ def _cmd_grid(args) -> int:
             cell_config = FeatureConfig(
                 sample_rate=feature_config.sample_rate,
                 cqt=feature_config.cqt, cqcc=cqcc)
-            for n_components in gaussians:
-                cell_gmm = replace(gmm_config, target_components=n_components)
+            for cell_gmm in cell_gmms:
+                n_components = cell_gmm.target_components
                 try:
                     model = train_detector(nat, artif, cell_config, cell_gmm)
                     scores = score_batch(model, eval_manifest)

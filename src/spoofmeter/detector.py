@@ -47,7 +47,7 @@ CACHE_ENV_VAR = "SPOOFMETER_CACHE_DIR"
 
 # Part of every feature cache key. Bump it whenever extraction output changes,
 # even in the last bits, so that entries an older front end wrote are rebuilt.
-_FRONTEND_REVISION = 2
+_FRONTEND_REVISION = 3
 
 
 @dataclass(frozen=True)

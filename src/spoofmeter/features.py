@@ -216,10 +216,11 @@ def extract_cqcc(signal: AudioSignal, cqt_config: CqtConfig,
     ``cqcc_config.output_dim``. Without CMVN the result is bit-reproducible
     across runs for a given signal and configuration.
     """
-    spec = cqt_spectrogram(signal, cqt_config)
-    logp = log_power(spec)
+    # The spectrogram is dropped before the spline stage, the peak of memory.
+    logp = log_power(cqt_spectrogram(signal, cqt_config))
     uniform, _ = uniform_resample(
-        logp, spec.center_freqs, cqcc_config.resample_period, n_points=grid_size)
+        logp, cqt_config.center_freqs, cqcc_config.resample_period,
+        n_points=grid_size)
     ceps = dct_truncate(uniform, cqcc_config.num_ceps, cqcc_config.include_zeroth)
     feats = append_deltas(ceps, cqcc_config, source_id=source_id)
     if cqcc_config.apply_cmvn:

@@ -5,9 +5,16 @@ import sys
 import numpy as np
 import pytest
 
-from helpers import make_wav_corpus, resonant_noise
+from helpers import (
+    RATE,
+    burst_resonant_noise,
+    make_wav_corpus,
+    mulaw_distort,
+    resonant_noise,
+)
+from spoofmeter import cli
 from spoofmeter.cli import main, parse_variant
-from spoofmeter.errors import ConfigError
+from spoofmeter.errors import ConfigError, DataError
 
 RUN_CONFIG = {
     "sample_rate": 16000,
@@ -182,6 +189,37 @@ class TestGrid:
             parse_variant("z")
 
 
+class TestDefaultFrontEnd:
+    def test_train_score_eer_on_paper_length_utterances(self, tmp_path):
+        # The paper's front end (no --config: 96 bins/octave over 9 octaves)
+        # on 9 s utterances, just above its 8.83 s bin-0 window.
+        rng = np.random.default_rng(90)
+        speech = [burst_resonant_noise(rng, 9 * RATE) for _ in range(4)]
+        nat = make_wav_corpus(tmp_path / "nat", [
+            ("n0", "bonafide", "-", speech[0])])
+        artif = make_wav_corpus(tmp_path / "artif", [
+            ("a0", "spoof", "mu3", mulaw_distort(speech[1], 3))])
+        evaluation = make_wav_corpus(tmp_path / "eval", [
+            ("b0", "bonafide", "-", speech[2]),
+            ("s0", "spoof", "mu3", mulaw_distort(speech[3], 3))])
+        model, scores, eer = (tmp_path / n for n in
+                              ("model.json", "scores.tsv", "eer.tsv"))
+        assert main(["train", "--nat", str(nat), "--artif", str(artif),
+                     "--gaussians", "2", "--out", str(model)]) == 0
+        assert json.loads(model.read_text())["feature_config"]["cqt"][
+            "bins_per_octave"] == 96
+        assert main(["score", "--model", str(model), "--eval",
+                     str(evaluation), "--out", str(scores)]) == 0
+        _, rows = _data_rows(scores)
+        llr = [float(r[3]) for r in rows]
+        assert [r[0] for r in rows] == ["b0", "s0"]
+        assert np.isfinite(llr).all()
+        assert main(["eer", "--scores", str(scores), "--out", str(eer)]) == 0
+        _, rows = _data_rows(eer)
+        assert [(r[0], float(r[1])) for r in rows] == [
+            ("mu3", 0.0), ("(average)", 0.0)]
+
+
 class TestErrorHandling:
     def test_usage_error_exits_1(self, capsys):
         assert main(["train", "--nat", "x.tsv"]) == 1
@@ -209,6 +247,26 @@ class TestErrorHandling:
         rc = main(["score", "--model", str(trained_model),
                    "--eval", str(manifest), "--out", str(out)])
         assert rc == 2
+        assert not out.exists()
+
+    def test_grid_bad_gaussian_count_exits_1_before_training(
+            self, workspace, tmp_path, capsys, monkeypatch):
+        trained = []
+
+        def no_training(*args):
+            trained.append(args)
+            raise DataError("training is not expected")
+
+        monkeypatch.setattr(cli, "train_detector", no_training)
+        out = tmp_path / "grid.tsv"
+        rc = main(["grid", "--nat", str(workspace["nat"]),
+                   "--artif", str(workspace["artif"]),
+                   "--eval", str(workspace["eval"]),
+                   "--variants", "stat", "--gaussians", "2,4,3",
+                   "--config", str(workspace["config"]), "--out", str(out)])
+        assert rc == 1
+        assert trained == []
+        assert "--gaussians" in capsys.readouterr().err
         assert not out.exists()
 
     def test_bad_config_exits_2(self, workspace, tmp_path):

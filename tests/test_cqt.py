@@ -1,9 +1,45 @@
 import numpy as np
 import pytest
 
-from helpers import RATE, SMALL_CQT, noise_signal, tone
+from helpers import (
+    MEDIUM_CQT,
+    RATE,
+    SMALL_CQT,
+    noise_signal,
+    resonant_noise,
+    tone,
+)
 from spoofmeter import AudioSignal, CqtConfig, cqt_spectrogram, default_cqt_config
+from spoofmeter import cqt
 from spoofmeter.errors import ConfigError, SignalTooShortError
+
+
+def naive_magnitudes(signal, config, frames=None):
+    """Oracle from the docstring's definition, at the given frame indices.
+
+    Every (frame, bin) inner product of a zero-padded copy with a
+    Hann-windowed complex exponential centered at t * hop, normalized by N_k.
+    """
+    lengths = config.window_lengths(RATE)
+    pad = int(lengths[0])
+    padded = np.concatenate([np.zeros(pad), signal.samples, np.zeros(pad)])
+    if frames is None:
+        frames = range((len(signal) - 1) // config.hop + 1)
+    expected = np.empty((len(frames), config.n_bins))
+    for k, (win_len, freq) in enumerate(zip(lengths, config.center_freqs)):
+        n = np.arange(win_len) - (win_len - 1) / 2.0
+        kernel = (np.hanning(win_len) / win_len
+                  * np.exp(2j * np.pi * freq * n / RATE))
+        for i, t in enumerate(frames):
+            start = pad + t * config.hop - win_len // 2
+            expected[i, k] = abs(np.dot(padded[start:start + win_len], kernel))
+    return expected
+
+
+def assert_close_per_bin(actual, expected, rel):
+    """Every magnitude within ``rel`` times its bin's largest expected one."""
+    err = np.abs(actual - expected) / expected.max(axis=0)
+    assert err.max() <= rel, f"largest error {err.max():.3g} of a bin's maximum"
 
 
 def test_bin_count_formula():
@@ -43,25 +79,59 @@ def test_tone_peaks_at_its_bin():
 
 @pytest.mark.parametrize("n_samples", [4000, 4001])
 def test_matches_naive_inner_products(n_samples):
-    # Oracle from the docstring's definition: every (frame, bin) inner product
-    # of a zero-padded copy with a Hann-windowed complex exponential centered
-    # at t * hop, normalized by N_k. 4001 samples give a short last frame.
+    # 4001 samples give a short last frame.
     signal = noise_signal(np.random.default_rng(3), n_samples)
     spec = cqt_spectrogram(signal, SMALL_CQT)
-    lengths = SMALL_CQT.window_lengths(RATE)
-    pad = int(lengths[0])
-    padded = np.concatenate([np.zeros(pad), signal.samples, np.zeros(pad)])
-    expected = np.empty_like(spec.magnitudes)
-    for k, (win_len, freq) in enumerate(zip(lengths, SMALL_CQT.center_freqs)):
-        n = np.arange(win_len) - (win_len - 1) / 2.0
-        kernel = (np.hanning(win_len) / win_len
-                  * np.exp(2j * np.pi * freq * n / RATE))
-        for t in range(spec.n_frames):
-            start = pad + t * SMALL_CQT.hop - win_len // 2
-            expected[t, k] = abs(np.dot(padded[start:start + win_len], kernel))
     assert spec.n_frames == (n_samples - 1) // SMALL_CQT.hop + 1
-    np.testing.assert_allclose(spec.magnitudes, expected, rtol=0,
+    np.testing.assert_allclose(spec.magnitudes,
+                               naive_magnitudes(signal, SMALL_CQT), rtol=0,
                                atol=1e-12 * spec.magnitudes.max())
+
+
+@pytest.mark.parametrize("config, n_samples",
+                         [(SMALL_CQT, 4001), (MEDIUM_CQT, 9000)],
+                         ids=["small", "medium"])
+def test_band_form_over_the_whole_spectrum_is_exact(monkeypatch, config,
+                                                    n_samples):
+    # Every bin on the band form, its band the whole spectrum: no cut is left,
+    # so only rounding separates it from the direct inner products.
+    monkeypatch.setattr(cqt, "_BAND_MIN_WINDOW", 0)
+    monkeypatch.setattr(cqt, "_BAND_HALF_WIDTH", 1e9)
+    signal = resonant_noise(np.random.default_rng(3), n_samples)
+    assert_close_per_bin(cqt_spectrogram(signal, config).magnitudes,
+                         naive_magnitudes(signal, config), 1e-10)
+
+
+def test_band_cut_on_medium_grid():
+    lengths = MEDIUM_CQT.window_lengths(RATE)
+    assert lengths[0] >= cqt._BAND_MIN_WINDOW > lengths[-1]
+    signal = resonant_noise(np.random.default_rng(3), 9000)
+    assert_close_per_bin(cqt_spectrogram(signal, MEDIUM_CQT).magnitudes,
+                         naive_magnitudes(signal, MEDIUM_CQT), 2e-4)
+
+
+def test_default_grid_spot_check():
+    config = default_cqt_config(RATE)
+    signal = resonant_noise(np.random.default_rng(3), int(8.9 * RATE))
+    spec = cqt_spectrogram(signal, config)
+    frames = [0, spec.n_frames // 2, spec.n_frames - 1]
+    assert_close_per_bin(spec.magnitudes[frames],
+                         naive_magnitudes(signal, config, frames), 2e-4)
+
+
+def test_small_grid_stays_on_the_direct_form(monkeypatch):
+    signal = noise_signal(np.random.default_rng(3), 4001)
+    shipped = cqt_spectrogram(signal, SMALL_CQT).magnitudes
+    monkeypatch.setattr(cqt, "_BAND_MIN_WINDOW", np.inf)
+    assert np.array_equal(shipped, cqt_spectrogram(signal, SMALL_CQT).magnitudes)
+
+
+@pytest.mark.parametrize("n", [1500, 1501])
+def test_dirichlet_matches_its_sum(n):
+    u = np.array([0.0, 1e-9, 0.3 / n, -2.5 / n, 0.02, -0.5, 0.9])
+    expected = np.exp(2j * np.pi * np.outer(u, np.arange(n))).sum(axis=1)
+    got = cqt._dirichlet(u, n) * np.exp(1j * np.pi * u * (n - 1))
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-9 * n)
 
 
 def test_homogeneity():

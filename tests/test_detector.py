@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import os
 from pathlib import Path
@@ -301,8 +302,9 @@ class TestFeatureCacheIntegration:
 
     def test_entries_of_an_older_front_end_are_not_served(self, tmp_path,
                                                           monkeypatch):
-        # Entries keyed as before the front-end revision joined the key hold
-        # another CQT's output; a finite sentinel stands in for it.
+        # Entries keyed as before the front-end revision joined the key, or
+        # under revision 2 (direct kernel on every bin), hold another CQT's
+        # output; a finite sentinel stands in for it.
         rng = np.random.default_rng(49)
         nat = parse_manifest(_class_corpus(
             tmp_path / "n", rng, LOW_BAND, "bonafide", "-", 3, "n"))
@@ -314,11 +316,11 @@ class TestFeatureCacheIntegration:
         cache.mkdir()
         sentinel = FeatureMatrix(rng.standard_normal((30, uncached.nat.dim)))
         files = [*nat, *art]
-        for entry in files:
+        for entry, revision in itertools.product(files, ([], [2])):
             stat = os.stat(entry.path)
-            doc = [str(Path(entry.path).resolve()), stat.st_size,
-                   stat.st_mtime_ns, to_doc(FEATURE_CONFIG),
-                   FEATURE_CONFIG.effective_grid_size]
+            doc = revision + [str(Path(entry.path).resolve()), stat.st_size,
+                              stat.st_mtime_ns, to_doc(FEATURE_CONFIG),
+                              FEATURE_CONFIG.effective_grid_size]
             key = hashlib.sha256(
                 json.dumps(doc, sort_keys=True).encode()).hexdigest()[:24]
             write_feature_cache(cache / f"{key}.feat", sentinel)
@@ -329,7 +331,7 @@ class TestFeatureCacheIntegration:
             for part in ("weights", "means", "variances"):
                 assert (getattr(getattr(cached, gmm), part).tobytes()
                         == getattr(getattr(uncached, gmm), part).tobytes())
-        assert len(list(cache.glob("*.feat"))) == 2 * len(files)
+        assert len(list(cache.glob("*.feat"))) == 3 * len(files)
 
 
 def test_helpers_config_sanity():
