@@ -137,7 +137,10 @@ def _cmd_train(args) -> int:
     if args.seed is not None:
         gmm_config = replace(gmm_config, seed=args.seed)
     if args.gaussians is not None:
-        gmm_config = replace(gmm_config, target_components=args.gaussians)
+        try:
+            gmm_config = replace(gmm_config, target_components=args.gaussians)
+        except ConfigError as exc:
+            raise UsageError(f"train: bad --gaussians value ({exc})") from None
 
     nat = parse_manifest(args.nat)
     artif = parse_manifest(args.artif)

@@ -5,14 +5,21 @@ mean/variance as a single component, double the component count by
 perturbing each mean by +/- 0.2 standard deviations, and run a fixed number
 of EM iterations after every split until the target is reached. The schedule
 involves no randomness, so training is deterministic for given data.
+
+Scoring and the E-step share one fused kernel, the standard GMM-UBM form
+(Reynolds et al., 2000). Expanding the quadratic, component c's joint
+log-likelihood of a frame x is ``[x², x] · proj_c + bias_c`` with
+``proj_c = [−½σ_c⁻², μ_c σ_c⁻²]`` and
+``bias_c = log w_c − ½(D log 2π + Σ log σ_c² + Σ μ_c² σ_c⁻²)``. The tables
+are built once per model (once per iteration in EM), so a chunk of frames
+costs one matrix product followed by a max-shifted log-sum-exp.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import (
     ConfigError,
@@ -25,8 +32,16 @@ from .features import FeatureMatrix
 
 _LOG_2PI = np.log(2.0 * np.pi)
 
-# Frame-chunk size for E-step/scoring scratch matrices, in floats.
-_MAX_CHUNK_FLOATS = 4_000_000
+# Frame-chunk size for E-step/scoring scratch matrices, in floats. The kernel
+# makes several passes over each (n, C) chunk; at 8 MB rather than 32 MB an
+# E-step at C = 256 or 2048 ran 1.2-1.4x faster on a 2-vCPU Xeon.
+_MAX_CHUNK_FLOATS = 1_000_000
+
+# Shifted joint log-likelihoods are raised to this floor before exp. numpy's
+# vectorised exp is 6-200x slower on inputs whose result underflows (below
+# about -708), and trained models put many components there. A term below
+# e^-700 (about 1e-304) cannot change a row sum that is at least 1.
+_EXP_FLOOR = -700.0
 
 # Components assigned less than this much posterior mass keep their previous
 # parameters instead of dividing by a vanishing count.
@@ -68,6 +83,8 @@ class DiagGmm:
     weights: np.ndarray    # (C,), non-negative, sums to 1
     means: np.ndarray      # (C, D)
     variances: np.ndarray  # (C, D), strictly positive
+    # (proj, bias) of the fused kernel, built once from the three arrays.
+    _fused_tables: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=np.float64)
@@ -86,6 +103,7 @@ class DiagGmm:
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "means", m)
         object.__setattr__(self, "variances", v)
+        object.__setattr__(self, "_fused_tables", _tables(w, m, v))
 
     @property
     def n_components(self) -> int:
@@ -156,45 +174,59 @@ def _split(weights, means, variances):
     return weights, means, variances
 
 
-def _log_likelihood_chunks(frames, weights, means, variances):
-    """Yield ``(x, joint, frame_ll)`` for each chunk of frames.
+def _tables(weights, means, variances):
+    """The fused kernel's ``proj`` (2D, C) and ``bias`` (C,) tables.
 
-    A chunk holds at most ``_MAX_CHUNK_FLOATS / C`` frames. ``joint`` is its
-    (n, C) matrix of log weight plus component log density and ``frame_ll``
-    the log-sum-exp of that over components. The model constants are
-    computed once per call, not per chunk.
+    A zero weight gives ``bias = -inf``; such a component never sets a row
+    maximum, and the kernel's floor turns its term into a harmless e^-700.
     """
     inv = 1.0 / variances
-    const = -0.5 * (means.shape[1] * _LOG_2PI + np.sum(np.log(variances), axis=1))
-    inv_t = inv.T
-    scaled_means_t = (means * inv).T
-    mean_term = 0.5 * np.sum(means ** 2 * inv, axis=1)
+    proj = np.hstack([-0.5 * inv, means * inv]).T
     with np.errstate(divide="ignore"):
         log_w = np.log(weights)
-    chunk = max(1, _MAX_CHUNK_FLOATS // weights.shape[0])
+    bias = log_w - 0.5 * (means.shape[1] * _LOG_2PI
+                          + np.sum(np.log(variances), axis=1)
+                          + np.sum(means ** 2 * inv, axis=1))
+    return proj, bias
+
+
+def _log_likelihood_chunks(frames, proj, bias):
+    """Yield ``(xx, e, s, frame_ll)`` for each chunk of frames.
+
+    A chunk holds at most ``_MAX_CHUNK_FLOATS / C`` frames. ``xx`` is its
+    (n, 2D) matrix ``[x², x]``. ``joint = xx @ proj + bias`` is its (n, C)
+    matrix of joint log-likelihoods and ``m`` the row maximum of that;
+    ``e = exp(max(joint - m, _EXP_FLOOR))``, computed in place. ``s`` is the
+    row sum of ``e``, so ``e / s`` are the component posteriors, and
+    ``frame_ll = m + log s``.
+    """
+    chunk = max(1, _MAX_CHUNK_FLOATS // bias.shape[0])
     for lo in range(0, frames.shape[0], chunk):
         x = frames[lo:lo + chunk]
-        # One expression, so no (n, C) temporary outlives the yield; this
-        # operation order is what saved models and scores were written with.
-        joint = (const - (0.5 * (x ** 2) @ inv_t - x @ scaled_means_t
-                          + mean_term)) + log_w
-        yield x, joint, logsumexp(joint, axis=1)
+        xx = np.hstack([x * x, x])
+        e = xx @ proj
+        e += bias
+        m = e.max(axis=1)
+        e -= m[:, None]
+        np.maximum(e, _EXP_FLOOR, out=e)
+        np.exp(e, out=e)
+        s = e.sum(axis=1)
+        yield xx, e, s, m + np.log(s)
 
 
 def _accumulate(frames, weights, means, variances):
     """One E-step: average log-likelihood plus sufficient statistics."""
     total_ll = 0.0
     counts = np.zeros(weights.shape[0])
-    sum_x = np.zeros_like(means)
-    sum_x2 = np.zeros_like(means)
-    for x, joint, frame_ll in _log_likelihood_chunks(
-            frames, weights, means, variances):
-        resp = np.exp(joint - frame_ll[:, None])
+    sums = np.zeros((weights.shape[0], 2 * means.shape[1]))  # [Σx², Σx]
+    for xx, e, s, frame_ll in _log_likelihood_chunks(
+            frames, *_tables(weights, means, variances)):
+        e /= s[:, None]
         total_ll += frame_ll.sum()
-        counts += resp.sum(axis=0)
-        sum_x += resp.T @ x
-        sum_x2 += resp.T @ (x ** 2)
-    return total_ll / frames.shape[0], counts, sum_x, sum_x2
+        counts += e.sum(axis=0)
+        sums += e.T @ xx
+    dim = means.shape[1]
+    return total_ll / frames.shape[0], counts, sums[:, dim:], sums[:, :dim]
 
 
 def _maximize(counts, sum_x, sum_x2, old_means, old_variances, floor, n_frames):
@@ -216,9 +248,8 @@ def frame_log_likelihoods(gmm: DiagGmm, frames) -> np.ndarray:
     if frames.ndim != 2 or frames.shape[1] != gmm.dim:
         raise DimMismatchError(
             f"frames of shape {frames.shape} against a {gmm.dim}-dim model")
-    chunks = _log_likelihood_chunks(
-        frames, gmm.weights, gmm.means, gmm.variances)
-    return np.concatenate([np.empty(0)] + [ll for _, _, ll in chunks])
+    chunks = _log_likelihood_chunks(frames, *gmm._fused_tables)
+    return np.concatenate([np.empty(0)] + [ll for *_, ll in chunks])
 
 
 def avg_log_likelihood(gmm: DiagGmm, feats) -> float:

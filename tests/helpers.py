@@ -1,9 +1,11 @@
-"""Shared fixtures-in-code for the test suite: WAV writing, synthetic signals."""
+"""Shared fixtures-in-code for the test suite: WAV writing, synthetic signals,
+and reference formulas kept as oracles."""
 
 import wave
 
 import numpy as np
 from scipy.signal import lfilter
+from scipy.special import logsumexp
 
 from spoofmeter import AudioSignal, CqccConfig, CqtConfig
 from spoofmeter.detector import FeatureConfig
@@ -178,3 +180,32 @@ def mulaw_distort(signal: AudioSignal, bits: int, mu: float = 255.0) -> AudioSig
     dequant = (q + 0.5) / levels * 2.0 - 1.0
     expanded = np.sign(dequant) * ((1.0 + mu) ** np.abs(dequant) - 1.0) / mu
     return AudioSignal(expanded, signal.sample_rate)
+
+
+def reference_joint_log_likelihoods(frames, weights, means, variances):
+    """(n, C) log weight plus component log density, by the per-component
+    formula (``const − quad + log w``) that scored models before the fused
+    GMM kernel. An oracle for the fused form, not a second code path."""
+    inv = 1.0 / variances
+    const = -0.5 * (means.shape[1] * np.log(2.0 * np.pi)
+                    + np.sum(np.log(variances), axis=1))
+    mean_term = 0.5 * np.sum(means ** 2 * inv, axis=1)
+    with np.errstate(divide="ignore"):
+        log_w = np.log(weights)
+    return (const - (0.5 * (frames ** 2) @ inv.T - frames @ (means * inv).T
+                     + mean_term)) + log_w
+
+
+def reference_frame_log_likelihoods(gmm, frames):
+    return logsumexp(reference_joint_log_likelihoods(
+        frames, gmm.weights, gmm.means, gmm.variances), axis=1)
+
+
+def reference_accumulate(frames, weights, means, variances):
+    """E-step of the reference formula, with the return signature of
+    ``spoofmeter.gmm._accumulate``: (average LL, counts, Σx, Σx²)."""
+    joint = reference_joint_log_likelihoods(frames, weights, means, variances)
+    frame_ll = logsumexp(joint, axis=1)
+    resp = np.exp(joint - frame_ll[:, None])
+    return (frame_ll.sum() / frames.shape[0], resp.sum(axis=0),
+            resp.T @ frames, resp.T @ (frames ** 2))

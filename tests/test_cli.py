@@ -269,6 +269,16 @@ class TestErrorHandling:
         assert "--gaussians" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_train_bad_gaussian_count_exits_1_naming_flag(
+            self, workspace, tmp_path, capsys):
+        out = tmp_path / "model.json"
+        rc = main(["train", "--nat", str(workspace["nat"]),
+                   "--artif", str(workspace["artif"]), "--gaussians", "3",
+                   "--config", str(workspace["config"]), "--out", str(out)])
+        assert rc == 1
+        assert "--gaussians" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_config_exits_2(self, workspace, tmp_path):
         config = tmp_path / "bad.json"
         config.write_text('{"gmm": {"target_components": 3}}')

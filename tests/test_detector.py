@@ -13,6 +13,7 @@ from spoofmeter import (
     DetectorModel,
     FeatureMatrix,
     GmmTrainConfig,
+    avg_log_likelihood,
     llr_score,
     parse_manifest,
     read_score_file,
@@ -159,6 +160,15 @@ class TestLlrScore:
         feats = extract_features(model.feature_config,
                                  resonant_noise(rng, 4000))
         assert llr_score(model, feats) == llr_score(model, feats)
+
+    def test_llr_is_the_difference_of_average_scores(self, trained):
+        # The benchmark's traced pass rebuilds scoring in exactly this form.
+        model, _, rng = trained
+        feats = extract_features(model.feature_config,
+                                 resonant_noise(rng, 4000))
+        assert llr_score(model, feats) == (
+            avg_log_likelihood(model.nat, feats)
+            - avg_log_likelihood(model.artif, feats))
 
     def test_dim_mismatch_rejected(self, trained):
         model, _, _ = trained

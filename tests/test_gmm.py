@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import reference_accumulate, reference_frame_log_likelihoods
 from spoofmeter import (
     DiagGmm,
     GmmTrainConfig,
@@ -156,6 +157,81 @@ class TestFrameLogLikelihood:
                        - naive_mixture_loglik(gmm, y)) < 1e-10
 
 
+def _clustered_frames(rng, n_frames, dim, n_clusters=16):
+    centres = rng.normal(0.0, 3.0, size=(n_clusters, dim))
+    scales = rng.uniform(0.3, 1.5, size=(n_clusters, dim))
+    which = rng.integers(n_clusters, size=n_frames)
+    return centres[which] + scales[which] * rng.standard_normal((n_frames, dim))
+
+
+class TestFusedKernel:
+    """The fused ``[x², x] @ proj + bias`` kernel against the per-component
+    formula with ``scipy.special.logsumexp`` it replaced."""
+
+    def test_frame_scores_match_reference_formula(self):
+        rng = np.random.default_rng(29)
+        frames = _clustered_frames(rng, 1300, 58)
+        gmm = train_gmm(frames[:1000], GmmTrainConfig(target_components=64))
+        probe = frames[1000:]
+        np.testing.assert_allclose(frame_log_likelihoods(gmm, probe),
+                                   reference_frame_log_likelihoods(gmm, probe),
+                                   rtol=1e-12, atol=0)
+
+    def test_em_traces_match_reference_estep(self, monkeypatch):
+        rng = np.random.default_rng(30)
+        frames = _clustered_frames(rng, 3000, 58)
+        config = GmmTrainConfig(target_components=256)
+        _, fused = train_gmm(frames, config, return_history=True)
+        monkeypatch.setattr(gmm_module, "_accumulate", reference_accumulate)
+        _, reference = train_gmm(frames, config, return_history=True)
+        assert [len(t) for t in fused] == [len(t) for t in reference]
+        for a, b in zip(fused, reference):
+            np.testing.assert_allclose(a, b, rtol=1e-9, atol=0)
+
+    def test_zero_weight_component_is_ignored(self):
+        rng = np.random.default_rng(31)
+        means = rng.standard_normal((3, 4))
+        variances = rng.uniform(0.5, 2.0, size=(3, 4))
+        with_zero = DiagGmm(weights=np.array([0.4, 0.0, 0.6]),
+                            means=means, variances=variances)
+        without = DiagGmm(weights=np.array([0.4, 0.6]),
+                          means=means[[0, 2]], variances=variances[[0, 2]])
+        frames = rng.standard_normal((20, 4))
+        scores = frame_log_likelihoods(with_zero, frames)
+        assert np.all(np.isfinite(scores))
+        np.testing.assert_allclose(
+            scores, frame_log_likelihoods(without, frames), rtol=1e-12, atol=0)
+
+    def test_component_without_mass_keeps_statistics_finite(self):
+        # The far component's joint log-likelihood sits about 1e8 below the
+        # near one's on every frame, so its count falls below the minimum
+        # mass and the M-step keeps its parameters.
+        rng = np.random.default_rng(32)
+        frames = rng.standard_normal((50, 3))
+        weights = np.array([0.5, 0.5])
+        means = np.array([[0.0, 0.0, 0.0], [1e3, 1e3, 1e3]])
+        variances = np.array([[1.0, 1.0, 1.0], [1e-2, 1e-2, 1e-2]])
+        avg_ll, counts, sum_x, sum_x2 = gmm_module._accumulate(
+            frames, weights, means, variances)
+        assert counts[1] < gmm_module._MIN_COMPONENT_MASS
+        for stat in (avg_ll, counts, sum_x, sum_x2):
+            assert np.all(np.isfinite(stat))
+        new = gmm_module._maximize(counts, sum_x, sum_x2, means, variances,
+                                   1e-3 * np.ones(3), frames.shape[0])
+        for param in new:
+            assert np.all(np.isfinite(param))
+        assert np.array_equal(new[1][1], means[1])
+
+    def test_rebuilt_model_scores_bit_identically(self):
+        rng = np.random.default_rng(33)
+        gmm = train_gmm(rng.standard_normal((400, 5)),
+                        GmmTrainConfig(target_components=8))
+        rebuilt = DiagGmm(gmm.weights, gmm.means, gmm.variances)
+        frames = rng.standard_normal((40, 5))
+        assert np.array_equal(frame_log_likelihoods(rebuilt, frames),
+                              frame_log_likelihoods(gmm, frames))
+
+
 class TestChunking:
     """One call spanning several chunks, the last one short, must agree with
     the same call in a single chunk."""
@@ -169,9 +245,8 @@ class TestChunking:
     def test_chunks_are_bounded(self, monkeypatch):
         gmm, frames = self._setup()
         monkeypatch.setattr(gmm_module, "_MAX_CHUNK_FLOATS", 7 * 4)
-        chunks = gmm_module._log_likelihood_chunks(
-            frames, gmm.weights, gmm.means, gmm.variances)
-        assert [len(x) for x, _, _ in chunks] == [7] * 7 + [1]
+        chunks = gmm_module._log_likelihood_chunks(frames, *gmm._fused_tables)
+        assert [len(xx) for xx, *_ in chunks] == [7] * 7 + [1]
 
     def test_scores_match_single_chunk(self, monkeypatch):
         gmm, frames = self._setup()
