@@ -12,9 +12,6 @@ from .audio_io import AudioSignal, read_wav, resample
 from .cqt import CqtConfig, CqtSpectrogram, cqt_spectrogram, default_cqt_config
 from .detector import (
     DetectorModel,
-    FeatureConfig,
-    default_feature_config,
-    extract_features,
     llr_score,
     read_score_file,
     score_batch,
@@ -23,11 +20,13 @@ from .detector import (
 )
 from .features import (
     CqccConfig,
+    FeatureConfig,
     FeatureMatrix,
     append_deltas,
     cmvn,
     dct_truncate,
-    extract_cqcc,
+    default_feature_config,
+    extract_features,
     log_power,
     read_feature_cache,
     uniform_resample,
@@ -59,12 +58,11 @@ from .model_io import load_model, save_model
 __all__ = [
     "AudioSignal", "read_wav", "resample",
     "CqtConfig", "CqtSpectrogram", "cqt_spectrogram", "default_cqt_config",
-    "CqccConfig", "FeatureMatrix", "log_power", "uniform_resample",
-    "dct_truncate", "append_deltas", "cmvn", "extract_cqcc",
-    "read_feature_cache", "write_feature_cache",
+    "CqccConfig", "FeatureConfig", "default_feature_config", "FeatureMatrix",
+    "log_power", "uniform_resample", "dct_truncate", "append_deltas", "cmvn",
+    "extract_features", "read_feature_cache", "write_feature_cache",
     "DiagGmm", "GmmTrainConfig", "train_gmm", "avg_log_likelihood",
-    "FeatureConfig", "default_feature_config", "DetectorModel",
-    "extract_features", "train_detector", "llr_score", "score_batch",
+    "DetectorModel", "train_detector", "llr_score", "score_batch",
     "write_score_file", "read_score_file",
     "Manifest", "ManifestEntry", "parse_manifest",
     "ScoreRecord", "ScoreSet", "FarMrCurve", "EerResult", "AttackEerSummary",

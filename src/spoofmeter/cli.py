@@ -9,7 +9,9 @@ All tabular I/O is TSV under one rule (:mod:`spoofmeter.tables`): blank
 lines and ``#`` lines are skipped anywhere, and the header is the first line
 that is neither. Every output embeds the configuration that produced it in
 leading ``#`` comment lines, with no timestamps, so identical invocations
-produce byte-identical artifacts.
+produce byte-identical artifacts. Each output is written beside ``--out``
+and renamed over it (:func:`spoofmeter.tables.replacing`), so a failed
+command leaves an earlier output as it was.
 
 The run configuration (``--config``) is a JSON object with the optional
 keys ``sample_rate``, ``cqt``, ``cqcc`` and ``gmm``. The keys of the last
@@ -17,7 +19,9 @@ three are the fields of :class:`~spoofmeter.cqt.CqtConfig`,
 :class:`~spoofmeter.features.CqccConfig` and
 :class:`~spoofmeter.gmm.GmmTrainConfig`, typed as those fields are (see
 :mod:`spoofmeter.config`); unknown keys and wrong types are errors that
-name the file.
+name the file. ``grid`` overrides the config's ``cqcc`` block flags
+(``include_zeroth`` and ``use_*``) by ``--variants`` and its
+``apply_cmvn`` by ``--cmvn``: ``"apply_cmvn": true`` still runs raw cells.
 
 Exit codes: 0 success, 1 usage error, 2 data/validation error, 3 numerical
 failure.
@@ -35,8 +39,6 @@ from . import __version__
 from .config import checked, from_doc, to_doc
 from .cqt import DEFAULT_OCTAVES, DEFAULT_SAMPLE_RATE
 from .detector import (
-    FeatureConfig,
-    default_feature_config,
     read_score_file,
     score_batch,
     train_detector,
@@ -48,6 +50,7 @@ from .errors import (
     NumericalError,
     SpoofmeterError,
 )
+from .features import FeatureConfig, default_feature_config
 from .gmm import GmmTrainConfig
 from .manifest import parse_manifest
 from .metrics import (
@@ -323,10 +326,12 @@ def build_parser() -> argparse.ArgumentParser:
     grid.add_argument("--artif", required=True)
     grid.add_argument("--eval", required=True)
     grid.add_argument("--variants", required=True,
-                      help="comma list, e.g. delta+delta2,z+stat+delta+delta2")
+                      help="comma list, e.g. delta+delta2,z+stat+delta+delta2;"
+                           " overrides the config's cqcc block flags")
     grid.add_argument("--gaussians", required=True,
                       help="comma list of component counts, e.g. 32,2048")
-    grid.add_argument("--cmvn", choices=("raw", "cmvn", "both"), default="raw")
+    grid.add_argument("--cmvn", choices=("raw", "cmvn", "both"), default="raw",
+                      help="overrides the config's cqcc apply_cmvn")
     grid.add_argument("--config", default=None)
     grid.add_argument("--out", required=True, help="output grid TSV")
     grid.add_argument("--seed", type=int, default=None)
@@ -335,15 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _remove_partial_output(args) -> None:
-    out = getattr(args, "out", None)
-    if out is not None:
-        Path(out).unlink(missing_ok=True)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
-    args = None
     try:
         args = parser.parse_args(argv)
         return args.func(args)
@@ -351,13 +349,9 @@ def main(argv=None) -> int:
         print(f"spoofmeter: {exc}", file=sys.stderr)
         return 1
     except NumericalError as exc:
-        if args is not None:
-            _remove_partial_output(args)
         print(f"spoofmeter: numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (DataError, FileNotFoundError, OSError, ValueError) as exc:
-        if args is not None:
-            _remove_partial_output(args)
+    except (DataError, OSError, ValueError) as exc:
         print(f"spoofmeter: {exc}", file=sys.stderr)
         return 2
 

@@ -19,20 +19,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
-from .audio_io import AudioSignal, read_wav, resample
+from .audio_io import AudioSignal, read_wav
 from .config import to_doc
-from .cqt import DEFAULT_SAMPLE_RATE, CqtConfig, default_cqt_config
-from .errors import (
-    BatchScoringError,
-    ConfigError,
-    DimMismatchError,
-    EmptyManifestError,
-)
+from .errors import BatchScoringError, DimMismatchError, EmptyManifestError
 from .features import (
-    CqccConfig,
+    FeatureConfig,
     FeatureMatrix,
-    default_grid_size,
-    extract_cqcc,
+    extract_features,
     read_feature_cache,
     write_feature_cache,
 )
@@ -47,57 +40,7 @@ CACHE_ENV_VAR = "SPOOFMETER_CACHE_DIR"
 
 # Part of every feature cache key. Bump it whenever extraction output changes,
 # even in the last bits, so that entries an older front end wrote are rebuilt.
-_FRONTEND_REVISION = 3
-
-
-@dataclass(frozen=True)
-class FeatureConfig:
-    """Everything that determines the extraction pipeline, with no hidden state.
-
-    ``grid_size`` pins the uniform resampling grid; when ``None`` it is
-    derived from the CQT geometry and the resampling period. Models store the
-    pinned value, in a section of their own, so training and scoring always
-    agree.
-    """
-
-    sample_rate: int
-    cqt: CqtConfig
-    cqcc: CqccConfig
-    grid_size: int | None = field(default=None, metadata={"doc": False})
-
-    def __post_init__(self):
-        if self.sample_rate <= 0:
-            raise ConfigError("sample_rate must be positive")
-        if self.cqt.f_max > self.sample_rate / 2.0 + 1e-9:
-            raise ConfigError(
-                f"cqt f_max={self.cqt.f_max} exceeds Nyquist for "
-                f"{self.sample_rate} Hz")
-
-    @property
-    def effective_grid_size(self) -> int:
-        if self.grid_size is not None:
-            return self.grid_size
-        return default_grid_size(self.cqt.center_freqs, self.cqcc.resample_period)
-
-    @property
-    def output_dim(self) -> int:
-        return self.cqcc.output_dim
-
-    def pinned(self) -> "FeatureConfig":
-        """Copy with the grid size made explicit."""
-        if self.grid_size is not None:
-            return self
-        return FeatureConfig(self.sample_rate, self.cqt, self.cqcc,
-                             grid_size=self.effective_grid_size)
-
-
-def default_feature_config(sample_rate: int = DEFAULT_SAMPLE_RATE) -> FeatureConfig:
-    """Delta+double-delta CQCCs at 16 kHz: the package-wide default setup."""
-    return FeatureConfig(
-        sample_rate=sample_rate,
-        cqt=default_cqt_config(sample_rate),
-        cqcc=CqccConfig(),
-    )
+_FRONTEND_REVISION = 4
 
 
 @dataclass(frozen=True)
@@ -118,16 +61,6 @@ class DetectorModel:
             raise DimMismatchError(
                 f"models are {self.nat.dim}-dimensional but the feature "
                 f"config yields {self.feature_config.output_dim}")
-
-
-def extract_features(config: FeatureConfig, signal: AudioSignal,
-                     source_id: str = "") -> FeatureMatrix:
-    """Run the front end on one signal, resampling to the operating rate first."""
-    if signal.sample_rate != config.sample_rate:
-        signal = resample(signal, config.sample_rate)
-    return extract_cqcc(signal, config.cqt, config.cqcc,
-                        grid_size=config.effective_grid_size,
-                        source_id=source_id)
 
 
 def _cache_key(config: FeatureConfig, path: str) -> str:

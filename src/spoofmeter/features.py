@@ -1,9 +1,10 @@
 """CQCC feature extraction.
 
-Pipeline: constant-Q spectrogram -> floored log power -> cubic-spline
-resampling of the geometric frequency axis onto a uniform grid -> orthonormal
-DCT-II truncated to the requested cepstral order -> optional delta and
-double-delta blocks -> optional per-utterance mean/variance normalization.
+Pipeline (:func:`extract_features`): resampling to the operating rate ->
+constant-Q spectrogram -> floored log power -> cubic-spline resampling of
+the geometric frequency axis onto a uniform grid -> orthonormal DCT-II
+truncated to the requested cepstral order -> optional delta and double-delta
+blocks -> optional per-utterance mean/variance normalization.
 
 No speech-activity detection is applied anywhere: frame count depends only
 on signal length and hop.
@@ -15,17 +16,17 @@ an unreadable one is a miss, rebuilt by ``detector._features_for_file``.
 from __future__ import annotations
 
 import math
-import uuid
-from dataclasses import dataclass
-from pathlib import Path
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.fft import dct
 from scipy.interpolate import CubicSpline
 
-from .audio_io import AudioSignal
-from .cqt import CqtConfig, CqtSpectrogram, cqt_spectrogram
+from .audio_io import AudioSignal, resample
+from .cqt import (DEFAULT_SAMPLE_RATE, CqtConfig, CqtSpectrogram,
+                  cqt_spectrogram, default_cqt_config)
 from .errors import ConfigError, GridTooSmallError, TooFewBinsError
+from .tables import replacing
 
 # Floor applied to squared magnitudes before the log. Silent frames stay
 # finite without activity detection.
@@ -115,9 +116,9 @@ def uniform_resample(log_spec, center_freqs, period: int,
     """Interpolate each frame's log spectrum onto a uniform frequency grid.
 
     Returns ``(resampled, grid)`` where ``grid`` runs linearly from the first
-    to the last center frequency. Cubic splines are used when four or more
-    bins are available (exact on linear data), linear interpolation below
-    that. Pass ``n_points`` to pin a grid recorded in a model file.
+    to the last center frequency, by the not-a-knot cubic spline: exact on
+    linear data, the line on 2 bins and the parabola on 3. Pass ``n_points``
+    to pin a grid recorded in a model file.
     """
     log_spec = np.asarray(log_spec, dtype=np.float64)
     center_freqs = np.asarray(center_freqs, dtype=np.float64)
@@ -133,12 +134,7 @@ def uniform_resample(log_spec, center_freqs, period: int,
         raise ConfigError("grid must have at least 2 points")
     grid = np.linspace(center_freqs[0], center_freqs[-1], n_points)
 
-    if n_bins >= 4:
-        resampled = CubicSpline(center_freqs, log_spec, axis=1)(grid)
-    else:
-        resampled = np.stack(
-            [np.interp(grid, center_freqs, row) for row in log_spec])
-    return resampled, grid
+    return CubicSpline(center_freqs, log_spec, axis=1)(grid), grid
 
 
 def dct_truncate(uniform_log_spec, num_ceps: int,
@@ -207,23 +203,75 @@ def cmvn(feats: FeatureMatrix) -> FeatureMatrix:
     return FeatureMatrix(out, source_id=feats.source_id)
 
 
-def extract_cqcc(signal: AudioSignal, cqt_config: CqtConfig,
-                 cqcc_config: CqccConfig, grid_size: int | None = None,
-                 source_id: str = "") -> FeatureMatrix:
-    """Full front end for one utterance.
+@dataclass(frozen=True)
+class FeatureConfig:
+    """Everything that determines the extraction pipeline, with no hidden state.
+
+    ``grid_size`` pins the uniform resampling grid; when ``None`` it is
+    derived from the CQT geometry and the resampling period. Models store the
+    pinned value, in a section of their own, so training and scoring always
+    agree.
+    """
+
+    sample_rate: int
+    cqt: CqtConfig
+    cqcc: CqccConfig
+    grid_size: int | None = field(default=None, metadata={"doc": False})
+
+    def __post_init__(self):
+        if self.sample_rate <= 0:
+            raise ConfigError("sample_rate must be positive")
+        if self.cqt.f_max > self.sample_rate / 2.0 + 1e-9:
+            raise ConfigError(
+                f"cqt f_max={self.cqt.f_max} exceeds Nyquist for "
+                f"{self.sample_rate} Hz")
+
+    @property
+    def effective_grid_size(self) -> int:
+        if self.grid_size is not None:
+            return self.grid_size
+        return default_grid_size(self.cqt.center_freqs, self.cqcc.resample_period)
+
+    @property
+    def output_dim(self) -> int:
+        return self.cqcc.output_dim
+
+    def pinned(self) -> "FeatureConfig":
+        """Copy with the grid size made explicit."""
+        if self.grid_size is not None:
+            return self
+        return FeatureConfig(self.sample_rate, self.cqt, self.cqcc,
+                             grid_size=self.effective_grid_size)
+
+
+def default_feature_config(sample_rate: int = DEFAULT_SAMPLE_RATE) -> FeatureConfig:
+    """Delta+double-delta CQCCs at 16 kHz: the package-wide default setup."""
+    return FeatureConfig(
+        sample_rate=sample_rate,
+        cqt=default_cqt_config(sample_rate),
+        cqcc=CqccConfig(),
+    )
+
+
+def extract_features(config: FeatureConfig, signal: AudioSignal,
+                     source_id: str = "") -> FeatureMatrix:
+    """Full front end for one utterance, resampled to the operating rate first.
 
     Composition of the pipeline stages above; the output dimension is
-    ``cqcc_config.output_dim``. Without CMVN the result is bit-reproducible
+    ``config.output_dim``. Without CMVN the result is bit-reproducible
     across runs for a given signal and configuration.
     """
+    if signal.sample_rate != config.sample_rate:
+        signal = resample(signal, config.sample_rate)
+    cqcc = config.cqcc
     # The spectrogram is dropped before the spline stage, the peak of memory.
-    logp = log_power(cqt_spectrogram(signal, cqt_config))
-    uniform, _ = uniform_resample(
-        logp, cqt_config.center_freqs, cqcc_config.resample_period,
-        n_points=grid_size)
-    ceps = dct_truncate(uniform, cqcc_config.num_ceps, cqcc_config.include_zeroth)
-    feats = append_deltas(ceps, cqcc_config, source_id=source_id)
-    if cqcc_config.apply_cmvn:
+    logp = log_power(cqt_spectrogram(signal, config.cqt))
+    uniform, _ = uniform_resample(logp, config.cqt.center_freqs,
+                                  cqcc.resample_period,
+                                  n_points=config.effective_grid_size)
+    ceps = dct_truncate(uniform, cqcc.num_ceps, cqcc.include_zeroth)
+    feats = append_deltas(ceps, cqcc, source_id=source_id)
+    if cqcc.apply_cmvn:
         feats = cmvn(feats)
     return feats
 
@@ -231,17 +279,11 @@ def extract_cqcc(signal: AudioSignal, cqt_config: CqtConfig,
 def write_feature_cache(path, feats: FeatureMatrix) -> None:
     """Write ``feats`` as a ``.npy`` array (float64, frames by dimensions).
 
-    A ``.tmp`` file is renamed over ``path``, so that a concurrent reader
-    sees the whole entry or none.
+    Written through :func:`~spoofmeter.tables.replacing`, so that a
+    concurrent reader sees the whole entry or none.
     """
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
-    try:
-        with open(tmp, "wb") as f:
-            np.save(f, feats.frames, allow_pickle=False)
-        tmp.replace(path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    with replacing(path) as tmp, open(tmp, "wb") as f:
+        np.save(f, feats.frames, allow_pickle=False)
 
 
 def read_feature_cache(path, source_id: str = "") -> FeatureMatrix:

@@ -14,9 +14,11 @@ from pathlib import Path
 import numpy as np
 
 from .config import checked, from_doc, to_doc
-from .detector import DetectorModel, FeatureConfig
+from .detector import DetectorModel
 from .errors import ConfigError, SchemaError, VersionMismatchError
+from .features import FeatureConfig
 from .gmm import DiagGmm
+from .tables import replacing
 
 MODEL_FORMAT_VERSION = 1
 
@@ -42,7 +44,8 @@ def save_model(model: DetectorModel, path) -> None:
         "metadata": dict(model.metadata),
     }
     text = json.dumps(doc, sort_keys=True, indent=1)
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    with replacing(path) as tmp:
+        tmp.write_text(text + "\n", encoding="utf-8")
 
 
 def load_model(path) -> DetectorModel:

@@ -10,9 +10,27 @@ naming the file and the physical 1-based line.
 
 from __future__ import annotations
 
+import uuid
+from contextlib import contextmanager
 from pathlib import Path
 
 from .errors import ManifestParseError
+
+
+@contextmanager
+def replacing(path):
+    """Yield a temporary path beside ``path``, renamed over it on success.
+
+    A reader sees the old file or the whole new one, and a failure in the
+    ``with`` body leaves ``path`` untouched and no temporary file behind.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        yield tmp
+        tmp.replace(path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def read_table(path, columns, parse) -> list:
@@ -65,4 +83,5 @@ def write_table(path, columns, rows, comments=()) -> None:
             raise ValueError(
                 f"{path}: row {list(cells)!r} would not read back as written")
         lines.append(line)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with replacing(path) as tmp:
+        tmp.write_text("\n".join(lines) + "\n", encoding="utf-8")

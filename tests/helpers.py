@@ -7,8 +7,7 @@ import numpy as np
 from scipy.signal import lfilter
 from scipy.special import logsumexp
 
-from spoofmeter import AudioSignal, CqccConfig, CqtConfig
-from spoofmeter.detector import FeatureConfig
+from spoofmeter import AudioSignal, CqccConfig, CqtConfig, FeatureConfig
 
 RATE = 16000
 

@@ -249,6 +249,21 @@ class TestErrorHandling:
         assert rc == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["eer", "train"])
+    def test_failed_command_keeps_an_earlier_output(self, workspace, tmp_path,
+                                                    command):
+        out = tmp_path / "keep.tsv"
+        out.write_bytes(b"an earlier run's output\n")
+        argv = {
+            "eer": ["eer", "--scores", str(tmp_path / "missing.tsv")],
+            "train": ["train", "--nat", str(workspace["nat"]),
+                      "--artif", str(workspace["artif"]),
+                      "--config", str(tmp_path / "typo.json")],
+        }[command]
+        assert main(argv + ["--out", str(out)]) == 2
+        assert out.read_bytes() == b"an earlier run's output\n"
+        assert list(tmp_path.iterdir()) == [out]
+
     def test_grid_bad_gaussian_count_exits_1_before_training(
             self, workspace, tmp_path, capsys, monkeypatch):
         trained = []

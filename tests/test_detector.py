@@ -14,6 +14,7 @@ from spoofmeter import (
     FeatureMatrix,
     GmmTrainConfig,
     avg_log_likelihood,
+    extract_features,
     llr_score,
     parse_manifest,
     read_score_file,
@@ -22,7 +23,7 @@ from spoofmeter import (
     write_score_file,
 )
 from spoofmeter.config import to_doc
-from spoofmeter.detector import CACHE_ENV_VAR, extract_features
+from spoofmeter.detector import CACHE_ENV_VAR
 from spoofmeter.errors import (
     BatchScoringError,
     DimMismatchError,
@@ -312,8 +313,9 @@ class TestFeatureCacheIntegration:
 
     def test_entries_of_an_older_front_end_are_not_served(self, tmp_path,
                                                           monkeypatch):
-        # Entries keyed as before the front-end revision joined the key, or
-        # under revision 2 (direct kernel on every bin), hold another CQT's
+        # Entries keyed as before the front-end revision joined the key,
+        # under revision 2 (direct kernel on every bin) or under revision 3
+        # (linear interpolation on 3-bin grids), hold another front end's
         # output; a finite sentinel stands in for it.
         rng = np.random.default_rng(49)
         nat = parse_manifest(_class_corpus(
@@ -326,7 +328,7 @@ class TestFeatureCacheIntegration:
         cache.mkdir()
         sentinel = FeatureMatrix(rng.standard_normal((30, uncached.nat.dim)))
         files = [*nat, *art]
-        for entry, revision in itertools.product(files, ([], [2])):
+        for entry, revision in itertools.product(files, ([], [2], [3])):
             stat = os.stat(entry.path)
             doc = revision + [str(Path(entry.path).resolve()), stat.st_size,
                               stat.st_mtime_ns, to_doc(FEATURE_CONFIG),
@@ -341,7 +343,7 @@ class TestFeatureCacheIntegration:
             for part in ("weights", "means", "variances"):
                 assert (getattr(getattr(cached, gmm), part).tobytes()
                         == getattr(getattr(uncached, gmm), part).tobytes())
-        assert len(list(cache.glob("*.feat"))) == 3 * len(files)
+        assert len(list(cache.glob("*.feat"))) == 4 * len(files)
 
 
 def test_helpers_config_sanity():

@@ -5,14 +5,16 @@ from helpers import RATE, SMALL_CQT, noise_signal
 from spoofmeter import (
     AudioSignal,
     CqccConfig,
+    FeatureConfig,
     FeatureMatrix,
     append_deltas,
     cmvn,
     cqt_spectrogram,
     dct_truncate,
-    extract_cqcc,
+    extract_features,
     log_power,
     read_feature_cache,
+    resample,
     uniform_resample,
     write_feature_cache,
 )
@@ -87,6 +89,23 @@ class TestUniformResample:
     def test_too_few_bins(self):
         with pytest.raises(TooFewBinsError):
             uniform_resample(np.zeros((1, 1)), [100.0], 16)
+
+    def test_two_bins_give_the_straight_line(self):
+        freqs = np.array([500.0, 1000.0])
+        out, grid = uniform_resample(np.array([[-3.0, 2.0]]), freqs, 16,
+                                     n_points=9)
+        line = -3.0 + 5.0 * (grid - 500.0) / 500.0
+        assert np.max(np.abs(out[0] - line)) < 1e-12
+
+    def test_three_bins_reproduce_a_quadratic(self):
+        freqs = np.array([500.0, 1000.0, 2000.0])
+
+        def quadratic(f):
+            return 2e-6 * (f - 1200.0) ** 2 - 0.5 + 1e-3 * f
+
+        out, grid = uniform_resample(quadratic(freqs)[None, :], freqs, 16,
+                                     n_points=13)
+        assert np.max(np.abs(out[0] - quadratic(grid))) < 1e-9
 
 
 class TestDctTruncate:
@@ -170,17 +189,22 @@ class TestCmvn:
         assert np.max(np.abs(twice.frames - once.frames)) < 1e-9
 
 
+def _extract_small(signal, cqcc_config):
+    return extract_features(FeatureConfig(RATE, SMALL_CQT, cqcc_config),
+                            signal)
+
+
 class TestExtractCqcc:
     def test_full_config_gives_90_dims(self):
         sig = noise_signal(np.random.default_rng(11), 4000)
         config = CqccConfig(num_ceps=29, include_zeroth=True, use_static=True,
                             use_delta=True, use_delta2=True)
-        feats = extract_cqcc(sig, SMALL_CQT, config)
+        feats = _extract_small(sig, config)
         assert feats.dim == 90
 
     def test_delta_only_config_gives_58_dims(self):
         sig = noise_signal(np.random.default_rng(12), 4000)
-        feats = extract_cqcc(sig, SMALL_CQT, CqccConfig())
+        feats = _extract_small(sig, CqccConfig())
         assert feats.dim == 58
 
     @pytest.mark.parametrize("zeroth,static,delta,delta2", [
@@ -198,29 +222,29 @@ class TestExtractCqcc:
         config = CqccConfig(num_ceps=29, include_zeroth=zeroth,
                             use_static=static, use_delta=delta,
                             use_delta2=delta2)
-        feats = extract_cqcc(sig, SMALL_CQT, config)
+        feats = _extract_small(sig, config)
         assert feats.dim == (29 + zeroth) * (static + delta + delta2)
 
     def test_short_signal_rejected(self):
         needed = SMALL_CQT.window_lengths(RATE)[0]
         with pytest.raises(SignalTooShortError):
-            extract_cqcc(AudioSignal(np.zeros(needed - 1), RATE),
-                         SMALL_CQT, CqccConfig())
+            _extract_small(AudioSignal(np.zeros(needed - 1), RATE),
+                           CqccConfig())
 
     def test_deterministic_without_cmvn(self):
         sig = noise_signal(np.random.default_rng(14), 5000)
         config = CqccConfig(num_ceps=12, include_zeroth=True, use_static=True)
-        a = extract_cqcc(sig, SMALL_CQT, config)
-        b = extract_cqcc(sig, SMALL_CQT, config)
+        a = _extract_small(sig, config)
+        b = _extract_small(sig, config)
         assert np.array_equal(a.frames, b.frames)
 
     def test_amplitude_scaling_moves_only_zeroth_static_column(self):
         sig = noise_signal(np.random.default_rng(15), 5000, amplitude=0.4)
         config = CqccConfig(num_ceps=10, include_zeroth=True, use_static=True,
                             use_delta=True, use_delta2=True)
-        base = extract_cqcc(sig, SMALL_CQT, config).frames
-        scaled = extract_cqcc(
-            AudioSignal(2.0 * sig.samples, RATE), SMALL_CQT, config).frames
+        base = _extract_small(sig, config).frames
+        scaled = _extract_small(AudioSignal(2.0 * sig.samples, RATE),
+                                config).frames
         diff = scaled - base
         grid = uniform_resample(
             log_power(cqt_spectrogram(sig, SMALL_CQT)),
@@ -229,14 +253,36 @@ class TestExtractCqcc:
         assert np.allclose(diff[:, 0], expected_shift, atol=1e-7)
         assert np.max(np.abs(diff[:, 1:])) < 1e-7
 
+    @pytest.mark.parametrize("apply_cmvn", [False, True])
+    def test_equals_the_stage_by_stage_composition(self, apply_cmvn):
+        # The benchmark's traced pass re-composes the front end from these
+        # public calls and requires bit-identity with extract_features.
+        sig = noise_signal(np.random.default_rng(18), 5500, rate=22050)
+        config = FeatureConfig(RATE, SMALL_CQT, CqccConfig(
+            num_ceps=10, include_zeroth=True, use_static=True,
+            apply_cmvn=apply_cmvn))
+        resampled = resample(sig, RATE)
+        uniform, _ = uniform_resample(
+            log_power(cqt_spectrogram(resampled, SMALL_CQT)),
+            SMALL_CQT.center_freqs, config.cqcc.resample_period,
+            n_points=config.effective_grid_size)
+        expected = append_deltas(
+            dct_truncate(uniform, 10, include_zeroth=True), config.cqcc,
+            source_id="u")
+        if apply_cmvn:
+            expected = cmvn(expected)
+        feats = extract_features(config, sig, source_id="u")
+        assert feats.source_id == "u"
+        assert feats.frames.tobytes() == expected.frames.tobytes()
+
     def test_frame_count_ignores_content(self):
         # No activity detection: frames depend only on length and hop.
         quiet = AudioSignal(np.full(4000, 1e-6), RATE)
         loud = noise_signal(np.random.default_rng(16), 4000)
         config = CqccConfig(num_ceps=8, use_static=True, use_delta=False,
                             use_delta2=False)
-        assert extract_cqcc(quiet, SMALL_CQT, config).n_frames \
-            == extract_cqcc(loud, SMALL_CQT, config).n_frames
+        assert _extract_small(quiet, config).n_frames \
+            == _extract_small(loud, config).n_frames
 
 
 class TestConfigValidation:

@@ -10,13 +10,13 @@ from spoofmeter import (
     CqtConfig,
     DetectorModel,
     DiagGmm,
+    FeatureConfig,
     ScoreRecord,
     ScoreSet,
     save_model,
     write_score_file,
 )
 from spoofmeter.cli import main
-from spoofmeter.detector import FeatureConfig
 
 
 def _model():

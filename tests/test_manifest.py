@@ -2,6 +2,7 @@ import pytest
 
 from spoofmeter import parse_manifest
 from spoofmeter.errors import ManifestParseError
+from spoofmeter.tables import replacing
 
 
 def _write(tmp_path, text):
@@ -105,3 +106,19 @@ def test_comments_only_file_has_no_header(tmp_path):
     path = _write(tmp_path, "# nothing here\n\n")
     with pytest.raises(ManifestParseError, match="no header"):
         parse_manifest(path)
+
+
+def test_replacing_keeps_the_old_file_when_the_body_fails(tmp_path):
+    path = tmp_path / "out.tsv"
+    path.write_bytes(b"old\n")
+    with pytest.raises(RuntimeError):
+        with replacing(path) as tmp:
+            tmp.write_bytes(b"half")
+            raise RuntimeError("write failed")
+    assert path.read_bytes() == b"old\n"
+    assert list(tmp_path.iterdir()) == [path]
+
+    with replacing(path) as tmp:
+        tmp.write_bytes(b"new\n")
+    assert path.read_bytes() == b"new\n"
+    assert list(tmp_path.iterdir()) == [path]

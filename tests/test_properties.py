@@ -18,8 +18,11 @@ from spoofmeter import (
     load_model,
     save_model,
 )
-from spoofmeter.detector import FeatureConfig
-from spoofmeter.features import read_feature_cache, write_feature_cache
+from spoofmeter.features import (
+    FeatureConfig,
+    read_feature_cache,
+    write_feature_cache,
+)
 from spoofmeter.tables import read_table, write_table
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
