@@ -5,9 +5,14 @@ exponential whose length keeps the ratio of center frequency to bandwidth
 constant. Each bin takes the cheaper of two forms of the same inner
 products, chosen from its window length N_k alone:
 
-- Direct form, for short windows: one matrix-vector product of a zero-copy
-  strided view (every frame's window, read in place from the padded signal)
-  with the bin's cosine and sine kernels. It costs O(n_frames * N_k).
+- Direct form, for short windows: hop-blocked matrix products against a
+  kernel plan built once per grid (:func:`_direct_plan`). The span that the
+  direct windows cover is cut into hop-sized row blocks; block b holds the
+  windowed cosine and sine kernels of every bin whose window touches it,
+  zero where the window does not reach. The signal, cut into rows of one
+  hop, is then frame t's window in rows t .. t + n_blocks - 1, so all
+  direct bins are a sum of n_blocks contiguous GEMMs. It costs
+  O(n_frames * N_k) per bin, as the inner products themselves do.
 - Band form, for long windows, as in the nonstationary-Gabor CQT (Velasco et
   al., 2011) with kernel spectra as in Brown & Puckette (1992): one FFT of
   the whole signal is shared by all bins; each bin evaluates its kernel's
@@ -16,24 +21,27 @@ products, chosen from its window length N_k alone:
   spectrum it is exact; the band cut drops only the kernel's far sidelobes.
 
 At the reference grid (96 bins per octave over 9 octaves, 8.9 s at 16 kHz)
-the direct form alone took 36-40 s and the mixture takes about 1 s. The
-direct form stays for short windows because there the band, ±80 main-lobe
-spacings, spans thousands of DFT bins and costs more than the window itself.
-Bins are not batched: the unrounded lengths of adjacent bins differ by
-``rate / f_(k+1)``, more than 2 samples below Nyquist, so no two bins ever
-share a window length.
+a per-bin direct form alone took 36-40 s and the mixture takes well under
+1 s. The direct form stays for short windows because there the band, ±80
+main-lobe spacings, spans thousands of DFT bins and costs more than the
+window itself. The blocks batch direct bins by zero-padding each kernel to
+the blocks its window touches, not by shared window lengths: the unrounded
+lengths of adjacent bins differ by ``rate / f_(k+1)``, more than 2 samples
+below Nyquist, so no two bins ever share one. As in Brown & Puckette (1992),
+the kernels are computed once per analysis grid and sample rate and cached,
+not once per signal.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .audio_io import AudioSignal
+from .audio_io import AudioSignal, cached_array
 from .errors import ConfigError, SignalTooShortError
 
 # The package-wide default grid: the reference CQCC front end's (Todisco 2017).
@@ -52,12 +60,19 @@ DEFAULT_FRAMES_PER_SECOND = 100
 _BAND_HALF_WIDTH = 80
 
 # Window length, in samples, from which a bin takes the band form. Its cost
-# grows as L / N_k and the direct form's as n_frames * N_k. At hop 160 and
-# half-width 80 on a 2-vCPU Xeon they met near 2k samples (band 3.2 ms
-# against direct 4.4 ms at 1857, 6.8 ms against 2.2 ms at 1104), and the
-# 8.9 s reference-grid CQT took 0.98-1.2 s at crossovers of 2000 to 4000.
-# 3000 keeps the shortest band-form bins, where the cut errs most, direct.
+# grows as L / N_k and the direct form's as n_frames * N_k. 3000 keeps the
+# shortest band-form bins, where the cut errs most, direct. With the blocked
+# direct form, on a 2-vCPU Xeon at hop 160, the 8.9 s reference-grid CQT
+# took 0.32-0.42 s at 3000 (a 6.9 MB plan), 0.25-0.36 s at 4000 (9.2 MB) and
+# 0.28-0.36 s at 6000 (13.8 MB). It stays at 3000: at 4000 the benchmark's
+# paper-frontend peak RSS rose 6.9 % over the per-bin direct form's (5.3 %
+# at 3000) for 4-9 % more speed, and 6000 would leave MEDIUM_CQT in the
+# tests, whose bin-0 window is 4369 samples, without band-form bins.
 _BAND_MIN_WINDOW = 3000
+
+# Frames per pass of the direct form's block products. It bounds the
+# accumulator and each product to a few MB at the reference grid.
+_DIRECT_FRAMES = 256
 
 
 @dataclass(frozen=True)
@@ -184,6 +199,59 @@ def _band_column(spectrum: np.ndarray, n_fold: int, win_len: int,
     return np.abs(scipy.fft.ifft(folded)[:n_frames]) * (n_fold / size)
 
 
+@dataclass(frozen=True)
+class _DirectPlan:
+    """Kernels of the direct-form bins, cut into hop-sized row blocks."""
+
+    first: int                   # direct bins are first .. n_bins - 1
+    base: int                    # smallest window start, from the frame center
+    blocks: tuple[np.ndarray, ...]   # (hop, 2 * n_cols) each, read-only
+
+
+@functools.lru_cache(maxsize=8)
+def _direct_plan(config: CqtConfig, rate: int,
+                 band_min_window: float) -> _DirectPlan:
+    """The direct form's kernels for bins with ``N_k < band_min_window``.
+
+    Bin k's window covers offsets ``-(N_k // 2)`` to ``-(N_k // 2) + N_k - 1``
+    from the frame center; ``base`` is the longest one's start. Block b covers
+    the ``hop`` offsets from ``base + b * hop``. Its columns interleave the
+    cosine and sine kernels, ``np.hanning(N_k) / N_k`` times ``cos`` and
+    ``sin`` of ``2 pi f_k n / rate`` (n centered), of every bin whose window
+    touches the block, and are zero where that window does not reach. The
+    windows are centered and the bins run longest first, so those bins are a
+    prefix of the direct bins. Blocks are built one at a time: a dense
+    span-by-bins matrix would be a 16 MB transient at the reference grid.
+    """
+    lengths = config.window_lengths(rate)
+    n_direct = int(np.count_nonzero(lengths < band_min_window))
+    first = config.n_bins - n_direct
+    if not n_direct:
+        return _DirectPlan(first, 0, ())
+    hop = config.hop
+    lengths = lengths[first:]
+    freqs = config.center_freqs[first:]
+    starts = -(lengths // 2)
+    base = int(starts[0])
+    blocks = []
+    for lo in range(base, base + int(lengths[0]), hop):
+        n_cols = np.count_nonzero((starts < lo + hop) & (starts + lengths > lo))
+        win_len = lengths[:n_cols]
+        # n is the sample index within each bin's window. The arithmetic is
+        # np.hanning's and the phase's above, so every value inside a window
+        # equals np.hanning(N_k)[n] / N_k times its cos or sin bit for bit.
+        n = np.arange(lo, lo + hop)[:, None] - starts[:n_cols]
+        window = (0.5 + 0.5 * np.cos(np.pi * (2 * n + 1 - win_len)
+                                     / (win_len - 1))) / win_len
+        window = np.where((n >= 0) & (n < win_len), window, 0.0)
+        phase = (2.0 * np.pi * ((n - (win_len - 1) / 2.0) * freqs[:n_cols])
+                 / rate)
+        blocks.append(cached_array(np.stack(
+            [window * np.cos(phase), window * np.sin(phase)],
+            axis=2).reshape(hop, 2 * n_cols)))
+    return _DirectPlan(first, base, tuple(blocks))
+
+
 def cqt_spectrogram(signal: AudioSignal, config: CqtConfig) -> CqtSpectrogram:
     """Compute the constant-Q magnitude spectrogram of ``signal``.
 
@@ -196,7 +264,11 @@ def cqt_spectrogram(signal: AudioSignal, config: CqtConfig) -> CqtSpectrogram:
     Bins with ``N_k >= _BAND_MIN_WINDOW`` take the band form
     (:func:`_band_column`) from one FFT of the signal zero padded to
     ``L = M * hop``, M the next fast FFT length of the frame count that
-    covers the padded signal; shorter bins take the direct form.
+    covers the padded signal. Shorter bins take the direct form: the signal,
+    zero padded and cut into rows of ``hop`` samples, times the kernel blocks
+    of :func:`_direct_plan`, one GEMM per block over ``_DIRECT_FRAMES``
+    frames at a time. The plan is cached per grid, rate and crossover, so
+    only the first signal of each pays for its kernels.
     """
     rate = signal.sample_rate
     if config.f_max > rate / 2.0 + 1e-9:
@@ -210,32 +282,36 @@ def cqt_spectrogram(signal: AudioSignal, config: CqtConfig) -> CqtSpectrogram:
             f"signal of {len(signal)} samples is shorter than the "
             f"longest analysis window ({longest} samples)")
 
+    plan = _direct_plan(config, rate, _BAND_MIN_WINDOW)
     hop = config.hop
     n_frames = (len(signal) - 1) // hop + 1
     freqs = config.center_freqs
-
-    pad = longest // 2 + 2
-    padded = np.pad(signal.samples, pad)
     magnitudes = np.empty((n_frames, config.n_bins))
+
+    if plan.blocks:
+        # Row r holds the hop samples from r * hop + base, so frame t's
+        # windows lie in rows t .. t + n_blocks - 1 and block b meets row t + b.
+        n_blocks = len(plan.blocks)
+        rows = np.zeros((n_frames + n_blocks, hop))
+        rows.reshape(-1)[-plan.base:-plan.base + len(signal)] = signal.samples
+        for t0 in range(0, n_frames, _DIRECT_FRAMES):
+            t1 = min(t0 + _DIRECT_FRAMES, n_frames)
+            sums = np.zeros((t1 - t0, 2 * (config.n_bins - plan.first)))
+            for b, block in enumerate(plan.blocks):
+                sums[:, :block.shape[1]] += rows[t0 + b:t1 + b] @ block
+            np.hypot(sums[:, 0::2], sums[:, 1::2],
+                     out=magnitudes[t0:t1, plan.first:])
 
     band = lengths >= _BAND_MIN_WINDOW
     if band.any():
-        # L covers the padded signal, so no window wraps round onto the signal.
-        n_fold = scipy.fft.next_fast_len(-(-len(padded) // hop))
+        # L covers the signal padded by half the longest window and 2 samples
+        # each side, so no window wraps round onto the signal.
+        padded_len = len(signal) + 2 * (longest // 2 + 2)
+        n_fold = scipy.fft.next_fast_len(-(-padded_len // hop))
         spectrum = scipy.fft.fft(signal.samples, n_fold * hop)
         for k in np.flatnonzero(band):
             magnitudes[:, k] = _band_column(spectrum, n_fold, int(lengths[k]),
                                             freqs[k] / rate, n_frames)
-
-    for k in np.flatnonzero(~band):
-        win_len = lengths[k]
-        n = np.arange(win_len) - (win_len - 1) / 2.0
-        window = np.hanning(win_len) / win_len
-        phase = 2.0 * np.pi * (n * freqs[k]) / rate
-        start = pad - win_len // 2
-        frames = sliding_window_view(padded, win_len)[start::hop][:n_frames]
-        magnitudes[:, k] = np.hypot(frames @ (window * np.cos(phase)),
-                                    frames @ (window * np.sin(phase)))
 
     return CqtSpectrogram(
         magnitudes=magnitudes,

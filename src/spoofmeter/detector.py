@@ -40,7 +40,7 @@ CACHE_ENV_VAR = "SPOOFMETER_CACHE_DIR"
 
 # Part of every feature cache key. Bump it whenever extraction output changes,
 # even in the last bits, so that entries an older front end wrote are rebuilt.
-_FRONTEND_REVISION = 4
+_FRONTEND_REVISION = 5
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,11 @@ import struct
 
 import numpy as np
 import pytest
+from scipy.signal import resample_poly
 
 from helpers import tone, write_pcm16_wav
 from spoofmeter import AudioSignal, read_wav, resample
+from spoofmeter.audio_io import _lowpass_taps
 from spoofmeter.errors import (
     CorruptHeaderError,
     EmptySignalError,
@@ -121,6 +123,22 @@ class TestResample:
         mid = slice(len(out) // 4, -len(out) // 4)
         rms = np.sqrt(np.mean(out.samples[mid] ** 2))
         assert abs(rms / np.sqrt(0.5) - 1.0) < 0.01
+
+    @pytest.mark.parametrize("src,dst,up,down",
+                             [(22050, 16000, 320, 441), (16000, 8000, 1, 2)])
+    def test_memoized_filter_gives_the_fresh_design_output(self, src, dst,
+                                                           up, down):
+        sig = AudioSignal(np.random.default_rng(8).standard_normal(src) * 0.1,
+                          src)
+        fresh = _lowpass_taps.__wrapped__(up, down)
+        for _ in range(2):
+            out = resample(sig, dst)
+            assert out.samples.tobytes() == resample_poly(
+                sig.samples, up, down, window=fresh).tobytes()
+        taps = _lowpass_taps(up, down)
+        assert taps is _lowpass_taps(up, down)
+        assert not taps.flags.writeable
+        assert taps.tobytes() == fresh.tobytes()
 
     def test_invalid_rate(self):
         with pytest.raises(InvalidRateError):

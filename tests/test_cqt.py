@@ -77,9 +77,12 @@ def test_tone_peaks_at_its_bin():
     assert int(np.argmax(mid)) == k
 
 
-@pytest.mark.parametrize("n_samples", [4000, 4001])
+@pytest.mark.parametrize("n_samples", [4000, 4001, 539, 600])
 def test_matches_naive_inner_products(n_samples):
-    # 4001 samples give a short last frame.
+    # 4001 samples give a short last frame. 539 (the bin-0 window) and 600
+    # give 4 frames, as many as the direct plan has hop blocks: the fewest the
+    # length check allows, with every window in the zero padding on one side
+    # or both.
     signal = noise_signal(np.random.default_rng(3), n_samples)
     spec = cqt_spectrogram(signal, SMALL_CQT)
     assert spec.n_frames == (n_samples - 1) // SMALL_CQT.hop + 1
@@ -124,6 +127,32 @@ def test_small_grid_stays_on_the_direct_form(monkeypatch):
     shipped = cqt_spectrogram(signal, SMALL_CQT).magnitudes
     monkeypatch.setattr(cqt, "_BAND_MIN_WINDOW", np.inf)
     assert np.array_equal(shipped, cqt_spectrogram(signal, SMALL_CQT).magnitudes)
+
+
+def test_blocked_direct_form_spans_many_hop_blocks():
+    # MEDIUM_CQT's direct bins reach nearly 3000 samples, about 19 hop blocks.
+    plan = cqt._direct_plan(MEDIUM_CQT, RATE, cqt._BAND_MIN_WINDOW)
+    assert len(plan.blocks) > 10 and plan.first > 0
+    signal = resonant_noise(np.random.default_rng(5), 9000)
+    shipped = cqt_spectrogram(signal, MEDIUM_CQT).magnitudes
+    assert_close_per_bin(shipped[:, plan.first:],
+                         naive_magnitudes(signal, MEDIUM_CQT)[:, plan.first:],
+                         1e-12)
+
+
+def test_direct_plans_are_cached_per_grid_and_rate():
+    other = CqtConfig(bins_per_octave=24, f_min=400.0, f_max=7000.0, hop=128)
+    rng = np.random.default_rng(7)
+    calls = [(config, noise_signal(rng, 5000, rate=rate))
+             for config in (SMALL_CQT, other, SMALL_CQT, other)
+             for rate in (RATE, 22050)]
+    cqt._direct_plan.cache_clear()
+    results = [cqt_spectrogram(signal, config).magnitudes
+               for config, signal in calls]
+    assert cqt._direct_plan.cache_info().currsize == 4
+    for (config, signal), result in zip(calls, results):
+        cqt._direct_plan.cache_clear()
+        assert np.array_equal(result, cqt_spectrogram(signal, config).magnitudes)
 
 
 @pytest.mark.parametrize("n", [1500, 1501])

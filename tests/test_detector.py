@@ -314,9 +314,10 @@ class TestFeatureCacheIntegration:
     def test_entries_of_an_older_front_end_are_not_served(self, tmp_path,
                                                           monkeypatch):
         # Entries keyed as before the front-end revision joined the key,
-        # under revision 2 (direct kernel on every bin) or under revision 3
-        # (linear interpolation on 3-bin grids), hold another front end's
-        # output; a finite sentinel stands in for it.
+        # under revision 2 (direct kernel on every bin), revision 3 (linear
+        # interpolation on 3-bin grids) or revision 4 (per-bin direct
+        # products), hold another front end's output; a finite sentinel
+        # stands in for it.
         rng = np.random.default_rng(49)
         nat = parse_manifest(_class_corpus(
             tmp_path / "n", rng, LOW_BAND, "bonafide", "-", 3, "n"))
@@ -328,7 +329,7 @@ class TestFeatureCacheIntegration:
         cache.mkdir()
         sentinel = FeatureMatrix(rng.standard_normal((30, uncached.nat.dim)))
         files = [*nat, *art]
-        for entry, revision in itertools.product(files, ([], [2], [3])):
+        for entry, revision in itertools.product(files, ([], [2], [3], [4])):
             stat = os.stat(entry.path)
             doc = revision + [str(Path(entry.path).resolve()), stat.st_size,
                               stat.st_mtime_ns, to_doc(FEATURE_CONFIG),
@@ -343,7 +344,7 @@ class TestFeatureCacheIntegration:
             for part in ("weights", "means", "variances"):
                 assert (getattr(getattr(cached, gmm), part).tobytes()
                         == getattr(getattr(uncached, gmm), part).tobytes())
-        assert len(list(cache.glob("*.feat"))) == 4 * len(files)
+        assert len(list(cache.glob("*.feat"))) == 5 * len(files)
 
 
 def test_helpers_config_sanity():
