@@ -47,6 +47,8 @@ from .detector import (
 from .errors import (
     ConfigError,
     DataError,
+    EmptyPopulationError,
+    NoSpoofSystemsError,
     NumericalError,
     SpoofmeterError,
 )
@@ -55,6 +57,7 @@ from .gmm import GmmTrainConfig
 from .manifest import parse_manifest
 from .metrics import (
     attack_averaged_eer,
+    check_eer_percent,
     compute_mos,
     machine_opinion_score,
     read_opinion_file,
@@ -171,8 +174,10 @@ _EER_HEADER = ("system_id", "eer_percent", "threshold", "n_bonafide", "n_spoof")
 
 
 def _cmd_eer(args) -> int:
-    scores = read_score_file(args.scores)
-    summary = attack_averaged_eer(scores)
+    try:
+        summary = attack_averaged_eer(read_score_file(args.scores))
+    except (EmptyPopulationError, NoSpoofSystemsError) as exc:
+        raise type(exc)(f"{args.scores}: {exc}") from exc
     rows = []
     total_spoof = 0
     n_bona = 0
@@ -194,8 +199,9 @@ def _cmd_eer(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    eer_rows = read_table(args.eer, _EER_HEADER,
-                          lambda system, eer, *_: (system, float(eer)))
+    eer_rows = read_table(
+        args.eer, _EER_HEADER,
+        lambda system, eer, *_: (system, check_eer_percent(float(eer))))
     mos_map = None
     if args.opinions is not None:
         mos_map = compute_mos(read_opinion_file(args.opinions))
@@ -249,9 +255,7 @@ def _cmd_grid(args) -> int:
         for use_cmvn in cmvn_settings:
             cqcc = replace(feature_config.cqcc, apply_cmvn=use_cmvn,
                            **variant_flags[variant])
-            cell_config = FeatureConfig(
-                sample_rate=feature_config.sample_rate,
-                cqt=feature_config.cqt, cqcc=cqcc)
+            cell_config = replace(feature_config, cqcc=cqcc)
             for cell_gmm in cell_gmms:
                 n_components = cell_gmm.target_components
                 try:

@@ -8,27 +8,19 @@ looks more like natural human speech to the detector.
 Training never touches evaluation manifests: :func:`train_detector` takes
 only the two class manifests, so evaluation audio cannot leak into the
 models by construction.
+
+Features come from :func:`~spoofmeter.features.features_for_file`, through
+the feature cache in ``$SPOOFMETER_CACHE_DIR`` when that is set.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from . import __version__
-from .audio_io import AudioSignal, read_wav
-from .config import to_doc
 from .errors import BatchScoringError, DimMismatchError, EmptyManifestError
-from .features import (
-    FeatureConfig,
-    FeatureMatrix,
-    extract_features,
-    read_feature_cache,
-    write_feature_cache,
-)
+from .features import FeatureConfig, FeatureMatrix, features_for_file
 from .gmm import DiagGmm, GmmTrainConfig, avg_log_likelihood, train_gmm
 from .manifest import Manifest
 from .metrics import ScoreRecord, ScoreSet
@@ -37,10 +29,6 @@ from .tables import read_table, write_table
 import numpy as np
 
 CACHE_ENV_VAR = "SPOOFMETER_CACHE_DIR"
-
-# Part of every feature cache key. Bump it whenever extraction output changes,
-# even in the last bits, so that entries an older front end wrote are rebuilt.
-_FRONTEND_REVISION = 5
 
 
 @dataclass(frozen=True)
@@ -61,37 +49,6 @@ class DetectorModel:
             raise DimMismatchError(
                 f"models are {self.nat.dim}-dimensional but the feature "
                 f"config yields {self.feature_config.output_dim}")
-
-
-def _cache_key(config: FeatureConfig, path: str) -> str:
-    # The WAV's size and mtime make a file replaced in place a new key.
-    stat = os.stat(path)
-    doc = [_FRONTEND_REVISION, str(Path(path).resolve()), stat.st_size,
-           stat.st_mtime_ns, to_doc(config), config.effective_grid_size]
-    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()[:24]
-
-
-def _features_for_file(config: FeatureConfig, path: str,
-                       utt_id: str) -> FeatureMatrix:
-    """Features of one WAV, through the ``SPOOFMETER_CACHE_DIR`` cache if set.
-
-    Entries are ``.npy`` arrays (:func:`write_feature_cache`). A missing or
-    unreadable entry (damaged, or in an older format) is a cache miss: the
-    features are extracted again and the entry replaced.
-    """
-    cache = os.environ.get(CACHE_ENV_VAR)
-    if not cache:
-        return extract_features(config, read_wav(path), source_id=utt_id)
-
-    cache_file = Path(cache) / f"{_cache_key(config, path)}.feat"
-    try:
-        return read_feature_cache(cache_file, source_id=utt_id)
-    except (FileNotFoundError, ValueError):
-        pass
-    feats = extract_features(config, read_wav(path), source_id=utt_id)
-    cache_file.parent.mkdir(parents=True, exist_ok=True)
-    write_feature_cache(cache_file, feats)
-    return feats
 
 
 def _for_each_file(manifest: Manifest, name: str, per_file) -> list:
@@ -123,9 +80,11 @@ def train_detector(nat_manifest: Manifest, artif_manifest: Manifest,
     with the identical schedule. The returned model is self-describing.
     """
     config = feature_config.pinned()
+    cache_dir = os.environ.get(CACHE_ENV_VAR) or None
 
     def frames(entry):
-        return _features_for_file(config, entry.path, entry.utt_id).frames
+        return features_for_file(config, entry.path, entry.utt_id,
+                                 cache_dir).frames
 
     nat_frames = np.vstack(_for_each_file(nat_manifest, "natural-speech", frames))
     artif_frames = np.vstack(
@@ -151,22 +110,13 @@ def train_detector(nat_manifest: Manifest, artif_manifest: Manifest,
                          feature_config=config, metadata=metadata)
 
 
-def llr_score(model: DetectorModel, utterance) -> float:
+def llr_score(model: DetectorModel, feats: FeatureMatrix) -> float:
     """Log-likelihood ratio of natural over artificial speech for one utterance.
 
-    Accepts an :class:`AudioSignal` (features are extracted per the model's
-    configuration) or a cached :class:`FeatureMatrix` of matching dimension.
-    Deterministic and repeatable; swapping the class models negates the
-    score exactly.
+    ``feats`` is the utterance's :class:`FeatureMatrix`, extracted per the
+    model's configuration. Deterministic and repeatable; swapping the class
+    models negates the score exactly.
     """
-    if isinstance(utterance, FeatureMatrix):
-        feats = utterance
-    elif isinstance(utterance, AudioSignal):
-        feats = extract_features(model.feature_config, utterance)
-    else:
-        raise TypeError(
-            f"utterance must be AudioSignal or FeatureMatrix, got "
-            f"{type(utterance).__name__}")
     return avg_log_likelihood(model.nat, feats) - avg_log_likelihood(model.artif, feats)
 
 
@@ -176,9 +126,11 @@ def score_batch(model: DetectorModel, eval_manifest: Manifest) -> ScoreSet:
     Per-file failures are collected and the whole batch fails with one
     :class:`BatchScoringError` if any file fails.
     """
+    cache_dir = os.environ.get(CACHE_ENV_VAR) or None
+
     def record(entry):
-        feats = _features_for_file(model.feature_config, entry.path,
-                                   entry.utt_id)
+        feats = features_for_file(model.feature_config, entry.path,
+                                  entry.utt_id, cache_dir)
         return ScoreRecord(entry.utt_id, entry.label, entry.system_id,
                            llr_score(model, feats))
 

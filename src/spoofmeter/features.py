@@ -9,20 +9,25 @@ blocks -> optional per-utterance mean/variance normalization.
 No speech-activity detection is applied anywhere: frame count depends only
 on signal length and hop.
 
-A feature-cache entry is a ``.npy`` array (float64, frames by dimensions);
-an unreadable one is a miss, rebuilt by ``detector._features_for_file``.
+The per-file feature cache lives here too: :func:`features_for_file`
+memoizes :func:`extract_features` of one WAV as a ``.npy`` entry.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
+import os
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 from scipy.fft import dct
 from scipy.interpolate import CubicSpline
 
-from .audio_io import AudioSignal, resample
+from .audio_io import AudioSignal, read_wav, resample
+from .config import to_doc
 from .cqt import (DEFAULT_SAMPLE_RATE, CqtConfig, CqtSpectrogram,
                   cqt_spectrogram, default_cqt_config)
 from .errors import ConfigError, GridTooSmallError, TooFewBinsError
@@ -34,6 +39,10 @@ POWER_FLOOR = 1e-20
 
 # Two-sided regression window for deltas (5-frame regression).
 DELTA_WINDOW = 2
+
+# Part of every feature cache key. Bump it whenever extraction output changes,
+# even in the last bits, so that entries an older front end wrote are rebuilt.
+_FRONTEND_REVISION = 5
 
 
 @dataclass(frozen=True)
@@ -221,6 +230,8 @@ class FeatureConfig:
     def __post_init__(self):
         if self.sample_rate <= 0:
             raise ConfigError("sample_rate must be positive")
+        if self.grid_size is not None and self.grid_size < 2:
+            raise ConfigError("grid must have at least 2 points")
         if self.cqt.f_max > self.sample_rate / 2.0 + 1e-9:
             raise ConfigError(
                 f"cqt f_max={self.cqt.f_max} exceeds Nyquist for "
@@ -303,3 +314,35 @@ def read_feature_cache(path, source_id: str = "") -> FeatureMatrix:
         except Exception as exc:
             raise ValueError(
                 f"{path}: unreadable feature cache entry ({exc})") from exc
+
+
+def _cache_key(config: FeatureConfig, path: str) -> str:
+    # The WAV's size and mtime make a file replaced in place a new key.
+    stat = os.stat(path)
+    doc = [_FRONTEND_REVISION, str(Path(path).resolve()), stat.st_size,
+           stat.st_mtime_ns, to_doc(config), config.effective_grid_size]
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()[:24]
+
+
+def features_for_file(config: FeatureConfig, path: str, utt_id: str,
+                      cache_dir) -> FeatureMatrix:
+    """:func:`extract_features` of the WAV at ``path``, cached in ``cache_dir``.
+
+    ``None`` means no cache. A missing or unreadable entry (damaged, or in an
+    older format), or one of another width, is a miss: the features are
+    extracted again and the entry replaced.
+    """
+    if cache_dir is None:
+        return extract_features(config, read_wav(path), source_id=utt_id)
+
+    cache_file = Path(cache_dir) / f"{_cache_key(config, path)}.feat"
+    try:
+        feats = read_feature_cache(cache_file, source_id=utt_id)
+        if feats.dim == config.output_dim:
+            return feats
+    except (FileNotFoundError, ValueError):
+        pass
+    feats = extract_features(config, read_wav(path), source_id=utt_id)
+    cache_file.parent.mkdir(parents=True, exist_ok=True)
+    write_feature_cache(cache_file, feats)
+    return feats

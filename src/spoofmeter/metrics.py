@@ -45,6 +45,13 @@ def check_label(label: str, system_id: str) -> None:
             f"{BONAFIDE_SYSTEM!r}, got {system_id!r}")
 
 
+def check_eer_percent(eer_percent: float) -> float:
+    """``eer_percent`` if it lies in [0, 100]; else ``ValueError``."""
+    if not 0.0 <= eer_percent <= 100.0:
+        raise ValueError("EER must lie in [0, 100] percent")
+    return eer_percent
+
+
 @dataclass(frozen=True)
 class ScoreRecord:
     """One scored trial: utterance id, class label, source system, LLR."""
@@ -104,8 +111,7 @@ class EerResult:
     n_spoof: int
 
     def __post_init__(self):
-        if not 0.0 <= self.eer_percent <= 100.0:
-            raise ValueError("EER must lie in [0, 100] percent")
+        check_eer_percent(self.eer_percent)
 
 
 @dataclass(frozen=True)
@@ -205,9 +211,7 @@ def machine_opinion_score(eer_percent: float) -> float:
     50% (chance level) maps to the ideal 5.0. Values above 50% usually mean
     a detector bug, so they are clamped and flagged with a warning.
     """
-    if not 0.0 <= eer_percent <= 100.0:
-        raise ValueError("EER must lie in [0, 100] percent")
-    if eer_percent > 50.0:
+    if check_eer_percent(eer_percent) > 50.0:
         warnings.warn(
             f"EER of {eer_percent:.2f}% is above chance level; this usually "
             f"indicates an implementation problem in the detector",

@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import checked, from_doc, to_doc
 from .detector import DetectorModel
-from .errors import ConfigError, SchemaError, VersionMismatchError
+from .errors import DataError, SchemaError, VersionMismatchError
 from .features import FeatureConfig
 from .gmm import DiagGmm
 from .tables import replacing
@@ -52,8 +52,9 @@ def load_model(path) -> DetectorModel:
     """Read a model written by :func:`save_model`.
 
     Raises :class:`VersionMismatchError` for foreign format versions and
-    :class:`SchemaError` for anything structurally wrong (truncation,
-    missing or unknown keys, values of the wrong type, malformed arrays).
+    :class:`SchemaError` naming ``path`` for anything structurally wrong
+    (truncation, missing or unknown keys, values of the wrong type or range,
+    malformed arrays, a feature config the GMMs disagree with).
     """
     text = Path(path).read_text(encoding="utf-8")
     try:
@@ -72,16 +73,15 @@ def load_model(path) -> DetectorModel:
 
     try:
         config = replace(
-            from_doc(FeatureConfig, doc["feature_config"],
-                     f"{path}: feature_config"),
-            grid_size=checked(doc["grid"]["size"], int, f"{path}: grid: size"))
+            from_doc(FeatureConfig, doc["feature_config"], "feature_config"),
+            grid_size=checked(doc["grid"]["size"], int, "grid: size"))
         nat = _gmm_from_doc(doc["nat_gmm"])
         artif = _gmm_from_doc(doc["artif_gmm"])
         metadata = dict(doc.get("metadata", {}))
         return DetectorModel(nat=nat, artif=artif, feature_config=config,
                              metadata=metadata)
-    except ConfigError as exc:
-        raise SchemaError(str(exc)) from exc
+    except DataError as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"{path}: malformed model document ({exc})") from exc
 

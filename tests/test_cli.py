@@ -14,6 +14,7 @@ from helpers import (
 )
 from spoofmeter import cli
 from spoofmeter.cli import main, parse_variant
+from spoofmeter.detector import CACHE_ENV_VAR
 from spoofmeter.errors import ConfigError, DataError
 
 RUN_CONFIG = {
@@ -178,6 +179,32 @@ class TestGrid:
         assert main(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_cmvn_both_is_the_same_through_the_feature_cache(
+            self, workspace, tmp_path, monkeypatch):
+        args = ["grid", "--nat", str(workspace["nat"]),
+                "--artif", str(workspace["artif"]),
+                "--eval", str(workspace["eval"]),
+                "--variants", "delta+delta2,z+stat+delta+delta2",
+                "--gaussians", "1,2", "--cmvn", "both",
+                "--config", str(workspace["config"])]
+        monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+        assert main(args + ["--out", str(tmp_path / "uncached.tsv")]) == 0
+        cache = tmp_path / "cache"
+        monkeypatch.setenv(CACHE_ENV_VAR, str(cache))
+        assert main(args + ["--out", str(tmp_path / "cached.tsv")]) == 0
+
+        uncached = (tmp_path / "uncached.tsv").read_bytes()
+        assert (tmp_path / "cached.tsv").read_bytes() == uncached
+        _, rows = _data_rows(tmp_path / "cached.tsv")
+        assert sorted({r[1] for r in rows}) == ["cmvn", "raw"]
+        assert len(rows) == 8
+        assert all(0.0 <= float(r[3]) <= 100.0 for r in rows)
+        n_files = sum(len(_data_rows(workspace[m])[1])
+                      for m in ("nat", "artif", "eval"))
+        # one entry per variant, CMVN setting and file: the Gaussian count
+        # is not part of the key
+        assert len(list(cache.glob("*.feat"))) == 2 * 2 * n_files
+
     def test_variant_parsing(self):
         flags = parse_variant("z+stat+delta+delta2")
         assert flags == {"include_zeroth": True, "use_static": True,
@@ -321,6 +348,31 @@ class TestErrorHandling:
         assert rc == 2
         assert str(config) in capsys.readouterr().err
         assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("label", ["bonafide", "spoof"])
+    def test_eer_without_one_population_exits_2_naming_file(
+            self, tmp_path, capsys, label):
+        scores = tmp_path / "scores.tsv"
+        system = "-" if label == "bonafide" else "sysA"
+        scores.write_text("utt_id\tlabel\tsystem_id\tllr\n"
+                          f"u0\t{label}\t{system}\t0.5\n"
+                          f"u1\t{label}\t{system}\t-0.5\n")
+        out = tmp_path / "eer.tsv"
+        assert main(["eer", "--scores", str(scores), "--out", str(out)]) == 2
+        assert str(scores) in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_report_eer_out_of_range_exits_2_naming_line(self, tmp_path,
+                                                         capsys):
+        table = tmp_path / "eer.tsv"
+        table.write_text(
+            "system_id\teer_percent\tthreshold\tn_bonafide\tn_spoof\n"
+            "B01\t18.18\t0.0\t100\t100\n"
+            "N10\t120\t0.0\t100\t100\n")
+        out = tmp_path / "report.tsv"
+        assert main(["report", "--eer", str(table), "--out", str(out)]) == 2
+        assert f"{table}: line 3:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_config_key_exits_2(self, workspace, tmp_path):
         config = tmp_path / "bad2.json"

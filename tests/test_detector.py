@@ -75,7 +75,8 @@ class TestTrainDetector:
         manifest = parse_manifest(_class_corpus(
             tmp_path, rng, LOW_BAND, "bonafide", "-", 4, "u"))
         model = train_detector(manifest, manifest, FEATURE_CONFIG, GMM_CONFIG)
-        probe = resonant_noise(rng, 4000, freq_range=LOW_BAND)
+        probe = extract_features(model.feature_config,
+                                 resonant_noise(rng, 4000, freq_range=LOW_BAND))
         assert llr_score(model, probe) == 0.0
 
     def test_single_component_matches_pooled_stats(self, trained, tmp_path):
@@ -153,7 +154,8 @@ class TestLlrScore:
         swapped = DetectorModel(nat=model.artif, artif=model.nat,
                                 feature_config=model.feature_config,
                                 metadata=model.metadata)
-        probe = resonant_noise(rng, 4000, freq_range=LOW_BAND)
+        probe = extract_features(model.feature_config,
+                                 resonant_noise(rng, 4000, freq_range=LOW_BAND))
         assert llr_score(swapped, probe) == -llr_score(model, probe)
 
     def test_cached_features_accepted(self, trained):
@@ -186,7 +188,7 @@ class TestLlrScore:
 
     def test_rejects_other_types(self, trained):
         model, _, _ = trained
-        with pytest.raises(TypeError):
+        with pytest.raises(DimMismatchError):
             llr_score(model, [1.0, 2.0])
 
 
@@ -296,10 +298,12 @@ class TestFeatureCacheIntegration:
         cache = tmp_path / "cache"
         monkeypatch.setenv(CACHE_ENV_VAR, str(cache))
         train_detector(nat, art, FEATURE_CONFIG, GMM_CONFIG)
-        truncated, old_format, empty = sorted(cache.glob("*.feat"))[:3]
+        truncated, old_format, empty, narrow = sorted(cache.glob("*.feat"))[:4]
         truncated.write_bytes(truncated.read_bytes()[:100])
         old_format.write_bytes(b"CQCCFEAT" + bytes(16))
         empty.write_bytes(b"")
+        # readable, but of another front end's width
+        write_feature_cache(narrow, FeatureMatrix(rng.standard_normal((30, 3))))
 
         rebuilt = train_detector(nat, art, FEATURE_CONFIG, GMM_CONFIG)
         for gmm in ("nat", "artif"):
@@ -309,7 +313,7 @@ class TestFeatureCacheIntegration:
         entries = sorted(cache.iterdir())
         assert len(entries) == 6
         for entry in entries:
-            assert read_feature_cache(entry).n_frames > 0
+            assert read_feature_cache(entry).dim == uncached.nat.dim
 
     def test_entries_of_an_older_front_end_are_not_served(self, tmp_path,
                                                           monkeypatch):

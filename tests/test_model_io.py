@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -89,6 +90,27 @@ def test_malformed_gmm_arrays(model, tmp_path):
     doc["nat_gmm"]["weights"] = [0.4, 0.4]  # no longer sums to 1
     path.write_text(json.dumps(doc))
     with pytest.raises(SchemaError):
+        load_model(path)
+
+
+def test_feature_config_disagreeing_with_the_gmms_names_file(model, tmp_path):
+    path = tmp_path / "m.json"
+    save_model(model, path)
+    doc = json.loads(path.read_text())
+    doc["feature_config"]["cqcc"]["num_ceps"] += 1
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError, match=re.escape(str(path))):
+        load_model(path)
+
+
+@pytest.mark.parametrize("size", [1, -5])
+def test_grid_of_fewer_than_two_points_names_file(model, tmp_path, size):
+    path = tmp_path / "m.json"
+    save_model(model, path)
+    doc = json.loads(path.read_text())
+    doc["grid"]["size"] = size
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError, match=re.escape(str(path))):
         load_model(path)
 
 
