@@ -39,6 +39,7 @@ from . import __version__
 from .config import checked, from_doc, to_doc
 from .cqt import DEFAULT_OCTAVES, DEFAULT_SAMPLE_RATE
 from .detector import (
+    check_not_empty,
     read_score_file,
     score_batch,
     train_detector,
@@ -56,6 +57,8 @@ from .features import FeatureConfig, default_feature_config
 from .gmm import GmmTrainConfig
 from .manifest import parse_manifest
 from .metrics import (
+    BONAFIDE,
+    SPOOF,
     attack_averaged_eer,
     check_eer_percent,
     compute_mos,
@@ -249,6 +252,16 @@ def _cmd_grid(args) -> int:
     nat = parse_manifest(args.nat)
     artif = parse_manifest(args.artif)
     eval_manifest = parse_manifest(args.eval)
+    # Every cell needs these, so check them once before the first trains.
+    check_not_empty(nat, "natural-speech")
+    check_not_empty(artif, "artificial-speech")
+    labels = {entry.label for entry in eval_manifest}
+    if BONAFIDE not in labels:
+        raise EmptyPopulationError(
+            f"{args.eval}: evaluation manifest has no bona fide rows")
+    if SPOOF not in labels:
+        raise NoSpoofSystemsError(
+            f"{args.eval}: evaluation manifest has no spoof rows")
 
     rows = []
     for variant in variants:

@@ -51,13 +51,19 @@ class DetectorModel:
                 f"config yields {self.feature_config.output_dim}")
 
 
+def check_not_empty(manifest: Manifest, name: str) -> None:
+    """Raise :class:`EmptyManifestError`, naming the file if known, for no rows."""
+    if len(manifest) == 0:
+        where = f"{manifest.source_path}: " if manifest.source_path else ""
+        raise EmptyManifestError(f"{where}{name} manifest is empty")
+
+
 def _for_each_file(manifest: Manifest, name: str, per_file) -> list:
     """``per_file(entry)`` for every row, in order; one error names every failure.
 
     Silently skipping files would bias the models and the error rates.
     """
-    if len(manifest) == 0:
-        raise EmptyManifestError(f"{name} manifest is empty")
+    check_not_empty(manifest, name)
     results = []
     failures = []
     for entry in manifest:

@@ -329,8 +329,8 @@ def features_for_file(config: FeatureConfig, path: str, utt_id: str,
     """:func:`extract_features` of the WAV at ``path``, cached in ``cache_dir``.
 
     ``None`` means no cache. A missing or unreadable entry (damaged, or in an
-    older format), or one of another width, is a miss: the features are
-    extracted again and the entry replaced.
+    older format), or one of another width or with no frames, is a miss: the
+    features are extracted again and the entry replaced.
     """
     if cache_dir is None:
         return extract_features(config, read_wav(path), source_id=utt_id)
@@ -338,7 +338,7 @@ def features_for_file(config: FeatureConfig, path: str, utt_id: str,
     cache_file = Path(cache_dir) / f"{_cache_key(config, path)}.feat"
     try:
         feats = read_feature_cache(cache_file, source_id=utt_id)
-        if feats.dim == config.output_dim:
+        if feats.dim == config.output_dim and feats.n_frames > 0:
             return feats
     except (FileNotFoundError, ValueError):
         pass

@@ -10,9 +10,10 @@ Scoring and the E-step share one fused kernel, the standard GMM-UBM form
 (Reynolds et al., 2000). Expanding the quadratic, component c's joint
 log-likelihood of a frame x is ``[x², x] · proj_c + bias_c`` with
 ``proj_c = [−½σ_c⁻², μ_c σ_c⁻²]`` and
-``bias_c = log w_c − ½(D log 2π + Σ log σ_c² + Σ μ_c² σ_c⁻²)``. The tables
-are built once per model (once per iteration in EM), so a chunk of frames
-costs one matrix product followed by a max-shifted log-sum-exp.
+``bias_c = log w_c − ½(D log 2π + Σ log σ_c² + Σ μ_c² σ_c⁻²)``. Each
+:class:`DiagGmm` builds its tables once, and EM steps a ``DiagGmm`` over a
+design matrix ``[x², x]`` built once per call. So a chunk of frames costs
+one matrix product followed by a max-shifted log-sum-exp.
 """
 
 from __future__ import annotations
@@ -121,11 +122,12 @@ def train_gmm(frames, config: GmmTrainConfig, return_history: bool = False):
     per-dimension variance. With ``return_history`` the per-stage traces of
     average per-frame log-likelihood (one value per EM iteration, evaluated
     at the iteration's starting parameters) are returned alongside the model.
+    The design matrix ``[x², x]`` holds ``2·n·D`` float64 while the call runs.
     """
     frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim != 2:
         raise ValueError("frames must be a 2-D (count, dim) array")
-    n_frames, dim = frames.shape
+    n_frames = frames.shape[0]
     if n_frames < config.target_components:
         raise TooFewFramesError(
             f"{n_frames} frames cannot support {config.target_components} "
@@ -139,39 +141,32 @@ def train_gmm(frames, config: GmmTrainConfig, return_history: bool = False):
     var_basis = np.maximum(global_var, 1e-12 * max(global_var.max(), 1.0))
     floor = config.variance_floor_factor * var_basis
 
-    weights = np.array([1.0])
-    means = global_mean[None, :].copy()
-    variances = np.maximum(global_var, floor)[None, :]
-
+    gmm = DiagGmm(weights=np.array([1.0]), means=global_mean[None, :].copy(),
+                  variances=np.maximum(global_var, floor)[None, :])
+    xx = _design(frames)
     history = []
-    while weights.shape[0] < config.target_components:
-        weights, means, variances = _split(weights, means, variances)
+    while gmm.n_components < config.target_components:
+        gmm = _split(gmm)
         stage_trace = []
         for _ in range(config.em_iters_per_stage):
-            avg_ll, counts, sum_x, sum_x2 = _accumulate(
-                frames, weights, means, variances)
+            avg_ll, counts, sums = _accumulate(xx, gmm)
             stage_trace.append(avg_ll)
-            weights, means, variances = _maximize(
-                counts, sum_x, sum_x2, means, variances, floor, n_frames)
+            gmm = _maximize(counts, sums, gmm, floor, n_frames)
             if len(stage_trace) >= 2:
                 prev, cur = stage_trace[-2], stage_trace[-1]
                 if abs(cur - prev) < config.convergence_tol * max(1.0, abs(prev)):
                     break
         history.append(stage_trace)
 
-    gmm = DiagGmm(weights=weights, means=means, variances=variances)
-    if return_history:
-        return gmm, history
-    return gmm
+    return (gmm, history) if return_history else gmm
 
 
-def _split(weights, means, variances):
+def _split(gmm):
     # Each component becomes two, means nudged along +/- 0.2 stddev.
-    offset = 0.2 * np.sqrt(variances)
-    weights = np.concatenate([weights, weights]) / 2.0
-    means = np.vstack([means - offset, means + offset])
-    variances = np.vstack([variances, variances])
-    return weights, means, variances
+    offset = 0.2 * np.sqrt(gmm.variances)
+    return DiagGmm(weights=np.concatenate([gmm.weights, gmm.weights]) / 2.0,
+                   means=np.vstack([gmm.means - offset, gmm.means + offset]),
+                   variances=np.vstack([gmm.variances, gmm.variances]))
 
 
 def _tables(weights, means, variances):
@@ -190,56 +185,58 @@ def _tables(weights, means, variances):
     return proj, bias
 
 
-def _log_likelihood_chunks(frames, proj, bias):
-    """Yield ``(xx, e, s, frame_ll)`` for each chunk of frames.
+def _design(frames):
+    """The (n, 2D) design matrix ``[x², x]`` of the fused kernel."""
+    return np.hstack([frames * frames, frames])
 
-    A chunk holds at most ``_MAX_CHUNK_FLOATS / C`` frames. ``xx`` is its
-    (n, 2D) matrix ``[x², x]``. ``joint = xx @ proj + bias`` is its (n, C)
-    matrix of joint log-likelihoods and ``m`` the row maximum of that;
-    ``e = exp(max(joint - m, _EXP_FLOOR))``, computed in place. ``s`` is the
-    row sum of ``e``, so ``e / s`` are the component posteriors, and
-    ``frame_ll = m + log s``.
+
+def _log_likelihood_chunks(xx, proj, bias):
+    """Yield ``(rows, e, s, frame_ll)`` for each chunk ``rows`` of ``xx``.
+
+    ``xx`` is the (n, 2D) design matrix of :func:`_design`, and a chunk holds
+    at most ``_MAX_CHUNK_FLOATS / C`` of its rows. ``joint = rows @ proj +
+    bias`` is its (n, C) matrix of joint log-likelihoods and ``m`` the row
+    maximum of that; ``e = exp(max(joint - m, _EXP_FLOOR))``, computed in
+    place. ``s`` is the row sum of ``e``, so ``e / s`` are the component
+    posteriors, and ``frame_ll = m + log s``.
     """
     chunk = max(1, _MAX_CHUNK_FLOATS // bias.shape[0])
-    for lo in range(0, frames.shape[0], chunk):
-        x = frames[lo:lo + chunk]
-        xx = np.hstack([x * x, x])
-        e = xx @ proj
+    for lo in range(0, xx.shape[0], chunk):
+        rows = xx[lo:lo + chunk]
+        e = rows @ proj
         e += bias
         m = e.max(axis=1)
         e -= m[:, None]
         np.maximum(e, _EXP_FLOOR, out=e)
         np.exp(e, out=e)
         s = e.sum(axis=1)
-        yield xx, e, s, m + np.log(s)
+        yield rows, e, s, m + np.log(s)
 
 
-def _accumulate(frames, weights, means, variances):
-    """One E-step: average log-likelihood plus sufficient statistics."""
+def _accumulate(xx, gmm):
+    """One E-step: average log-likelihood, counts and ``[Σx², Σx]`` (C, 2D)."""
     total_ll = 0.0
-    counts = np.zeros(weights.shape[0])
-    sums = np.zeros((weights.shape[0], 2 * means.shape[1]))  # [Σx², Σx]
-    for xx, e, s, frame_ll in _log_likelihood_chunks(
-            frames, *_tables(weights, means, variances)):
+    counts = np.zeros(gmm.n_components)
+    sums = np.zeros((gmm.n_components, xx.shape[1]))
+    for rows, e, s, frame_ll in _log_likelihood_chunks(xx, *gmm._fused_tables):
         e /= s[:, None]
         total_ll += frame_ll.sum()
         counts += e.sum(axis=0)
-        sums += e.T @ xx
-    dim = means.shape[1]
-    return total_ll / frames.shape[0], counts, sums[:, dim:], sums[:, :dim]
+        sums += e.T @ rows
+    return total_ll / xx.shape[0], counts, sums
 
 
-def _maximize(counts, sum_x, sum_x2, old_means, old_variances, floor, n_frames):
+def _maximize(counts, sums, old, floor, n_frames):
     weights = counts / n_frames
     weights = weights / weights.sum()
 
     live = counts > _MIN_COMPONENT_MASS
     safe_counts = np.where(live, counts, 1.0)[:, None]
-    means = np.where(live[:, None], sum_x / safe_counts, old_means)
+    means = np.where(live[:, None], sums[:, old.dim:] / safe_counts, old.means)
     variances = np.where(
-        live[:, None], sum_x2 / safe_counts - means ** 2, old_variances)
+        live[:, None], sums[:, :old.dim] / safe_counts - means ** 2, old.variances)
     variances = np.maximum(variances, floor)
-    return weights, means, variances
+    return DiagGmm(weights=weights, means=means, variances=variances)
 
 
 def frame_log_likelihoods(gmm: DiagGmm, frames) -> np.ndarray:
@@ -248,7 +245,7 @@ def frame_log_likelihoods(gmm: DiagGmm, frames) -> np.ndarray:
     if frames.ndim != 2 or frames.shape[1] != gmm.dim:
         raise DimMismatchError(
             f"frames of shape {frames.shape} against a {gmm.dim}-dim model")
-    chunks = _log_likelihood_chunks(frames, *gmm._fused_tables)
+    chunks = _log_likelihood_chunks(_design(frames), *gmm._fused_tables)
     return np.concatenate([np.empty(0)] + [ll for *_, ll in chunks])
 
 

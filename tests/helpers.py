@@ -201,8 +201,7 @@ def reference_frame_log_likelihoods(gmm, frames):
 
 
 def reference_accumulate(frames, weights, means, variances):
-    """E-step of the reference formula, with the return signature of
-    ``spoofmeter.gmm._accumulate``: (average LL, counts, Σx, Σx²)."""
+    """E-step of the reference formula: (average LL, counts, Σx, Σx²)."""
     joint = reference_joint_log_likelihoods(frames, weights, means, variances)
     frame_ll = logsumexp(joint, axis=1)
     resp = np.exp(joint - frame_ll[:, None])

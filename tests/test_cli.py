@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -15,7 +16,15 @@ from helpers import (
 from spoofmeter import cli
 from spoofmeter.cli import main, parse_variant
 from spoofmeter.detector import CACHE_ENV_VAR
-from spoofmeter.errors import ConfigError, DataError
+from spoofmeter.errors import (
+    ConfigError,
+    DataError,
+    EmptyManifestError,
+    EmptyPopulationError,
+    NoSpoofSystemsError,
+)
+from spoofmeter.manifest import MANIFEST_COLUMNS, parse_manifest
+from spoofmeter.tables import write_table
 
 RUN_CONFIG = {
     "sample_rate": 16000,
@@ -309,6 +318,40 @@ class TestErrorHandling:
         assert rc == 1
         assert trained == []
         assert "--gaussians" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("broken, keep, error", [
+        ("eval", "spoof", EmptyPopulationError),
+        ("eval", "bonafide", NoSpoofSystemsError),
+        ("nat", None, EmptyManifestError),
+        ("artif", None, EmptyManifestError),
+    ])
+    def test_grid_bad_manifest_exits_2_before_training(
+            self, workspace, tmp_path, monkeypatch, broken, keep, error):
+        trained = []
+
+        def no_training(*args):
+            trained.append(args)
+            raise DataError("training is not expected")
+
+        monkeypatch.setattr(cli, "train_detector", no_training)
+        manifests = {name: str(workspace[name])
+                     for name in ("nat", "artif", "eval")}
+        # The broken manifest keeps only the rows labelled ``keep``.
+        manifests[broken] = str(tmp_path / "broken.tsv")
+        write_table(manifests[broken], MANIFEST_COLUMNS, [
+            (e.utt_id, e.path, e.label, e.system_id)
+            for e in parse_manifest(workspace[broken]) if e.label == keep])
+        out = tmp_path / "grid.tsv"
+        argv = ["grid", "--nat", manifests["nat"],
+                "--artif", manifests["artif"], "--eval", manifests["eval"],
+                "--variants", "stat", "--gaussians", "2,4",
+                "--config", str(workspace["config"]), "--out", str(out)]
+        args = cli.build_parser().parse_args(argv)
+        with pytest.raises(error, match=f"^{re.escape(manifests[broken])}: "):
+            args.func(args)
+        assert main(argv) == 2
+        assert trained == []
         assert not out.exists()
 
     def test_train_bad_gaussian_count_exits_1_naming_flag(

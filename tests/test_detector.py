@@ -29,7 +29,11 @@ from spoofmeter.errors import (
     DimMismatchError,
     EmptyManifestError,
 )
-from spoofmeter.features import read_feature_cache, write_feature_cache
+from spoofmeter.features import (
+    _cache_key,
+    read_feature_cache,
+    write_feature_cache,
+)
 from spoofmeter.manifest import Manifest
 
 LOW_BAND = (300.0, 900.0)
@@ -126,8 +130,8 @@ class TestTrainDetector:
         assert "garbage.wav" in str(info.value)
 
     def test_empty_manifest(self):
-        empty = Manifest(entries=(), source_path=None)
-        with pytest.raises(EmptyManifestError):
+        empty = Manifest(entries=(), source_path="lists/nat.tsv")
+        with pytest.raises(EmptyManifestError, match="^lists/nat.tsv: "):
             train_detector(empty, empty, FEATURE_CONFIG, GMM_CONFIG)
 
     def test_model_is_self_describing(self, trained):
@@ -314,6 +318,32 @@ class TestFeatureCacheIntegration:
         assert len(entries) == 6
         for entry in entries:
             assert read_feature_cache(entry).dim == uncached.nat.dim
+
+    def test_entry_without_frames_is_rebuilt(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(51)
+        nat = parse_manifest(_class_corpus(
+            tmp_path / "n", rng, LOW_BAND, "bonafide", "-", 3, "n"))
+        art = parse_manifest(_class_corpus(
+            tmp_path / "a", rng, HIGH_BAND, "spoof", "vcX", 3, "a"))
+        uncached = train_detector(nat, art, FEATURE_CONFIG, GMM_CONFIG)
+
+        cache = tmp_path / "cache"
+        monkeypatch.setenv(CACHE_ENV_VAR, str(cache))
+        train_detector(nat, art, FEATURE_CONFIG, GMM_CONFIG)
+        # readable and of the right width, but holding no frames
+        key = _cache_key(FEATURE_CONFIG.pinned(), art.entries[0].path)
+        entry = cache / f"{key}.feat"
+        assert entry.exists()
+        write_feature_cache(
+            entry, FeatureMatrix(np.zeros((0, uncached.artif.dim))))
+
+        rebuilt = train_detector(nat, art, FEATURE_CONFIG, GMM_CONFIG)
+        for gmm in ("nat", "artif"):
+            for part in ("weights", "means", "variances"):
+                assert (getattr(getattr(rebuilt, gmm), part).tobytes()
+                        == getattr(getattr(uncached, gmm), part).tobytes())
+        assert rebuilt.metadata == uncached.metadata
+        assert read_feature_cache(entry).n_frames > 0
 
     def test_entries_of_an_older_front_end_are_not_served(self, tmp_path,
                                                           monkeypatch):

@@ -157,6 +157,14 @@ class TestFrameLogLikelihood:
                        - naive_mixture_loglik(gmm, y)) < 1e-10
 
 
+def reference_estep(xx, gmm):
+    """``helpers.reference_accumulate`` with the signature and return of
+    ``gmm._accumulate``: (average LL, counts, [Σx², Σx])."""
+    avg_ll, counts, sum_x, sum_x2 = reference_accumulate(
+        xx[:, gmm.dim:], gmm.weights, gmm.means, gmm.variances)
+    return avg_ll, counts, np.hstack([sum_x2, sum_x])
+
+
 def _clustered_frames(rng, n_frames, dim, n_clusters=16):
     centres = rng.normal(0.0, 3.0, size=(n_clusters, dim))
     scales = rng.uniform(0.3, 1.5, size=(n_clusters, dim))
@@ -182,7 +190,7 @@ class TestFusedKernel:
         frames = _clustered_frames(rng, 3000, 58)
         config = GmmTrainConfig(target_components=256)
         _, fused = train_gmm(frames, config, return_history=True)
-        monkeypatch.setattr(gmm_module, "_accumulate", reference_accumulate)
+        monkeypatch.setattr(gmm_module, "_accumulate", reference_estep)
         _, reference = train_gmm(frames, config, return_history=True)
         assert [len(t) for t in fused] == [len(t) for t in reference]
         for a, b in zip(fused, reference):
@@ -208,19 +216,19 @@ class TestFusedKernel:
         # mass and the M-step keeps its parameters.
         rng = np.random.default_rng(32)
         frames = rng.standard_normal((50, 3))
-        weights = np.array([0.5, 0.5])
-        means = np.array([[0.0, 0.0, 0.0], [1e3, 1e3, 1e3]])
-        variances = np.array([[1.0, 1.0, 1.0], [1e-2, 1e-2, 1e-2]])
-        avg_ll, counts, sum_x, sum_x2 = gmm_module._accumulate(
-            frames, weights, means, variances)
+        old = DiagGmm(weights=np.array([0.5, 0.5]),
+                      means=np.array([[0.0, 0.0, 0.0], [1e3, 1e3, 1e3]]),
+                      variances=np.array([[1.0, 1.0, 1.0], [1e-2, 1e-2, 1e-2]]))
+        avg_ll, counts, sums = gmm_module._accumulate(
+            gmm_module._design(frames), old)
         assert counts[1] < gmm_module._MIN_COMPONENT_MASS
-        for stat in (avg_ll, counts, sum_x, sum_x2):
+        for stat in (avg_ll, counts, sums):
             assert np.all(np.isfinite(stat))
-        new = gmm_module._maximize(counts, sum_x, sum_x2, means, variances,
-                                   1e-3 * np.ones(3), frames.shape[0])
-        for param in new:
-            assert np.all(np.isfinite(param))
-        assert np.array_equal(new[1][1], means[1])
+        # DiagGmm itself rejects non-finite parameters.
+        new = gmm_module._maximize(counts, sums, old, 1e-3 * np.ones(3),
+                                   frames.shape[0])
+        assert np.array_equal(new.means[1], old.means[1])
+        assert np.array_equal(new.variances[1], old.variances[1])
 
     def test_rebuilt_model_scores_bit_identically(self):
         rng = np.random.default_rng(33)
@@ -245,7 +253,8 @@ class TestChunking:
     def test_chunks_are_bounded(self, monkeypatch):
         gmm, frames = self._setup()
         monkeypatch.setattr(gmm_module, "_MAX_CHUNK_FLOATS", 7 * 4)
-        chunks = gmm_module._log_likelihood_chunks(frames, *gmm._fused_tables)
+        chunks = gmm_module._log_likelihood_chunks(
+            gmm_module._design(frames), *gmm._fused_tables)
         assert [len(xx) for xx, *_ in chunks] == [7] * 7 + [1]
 
     def test_scores_match_single_chunk(self, monkeypatch):
@@ -257,12 +266,47 @@ class TestChunking:
 
     def test_estep_statistics_match_single_chunk(self, monkeypatch):
         gmm, frames = self._setup()
-        args = (frames, gmm.weights, gmm.means, gmm.variances)
-        whole = gmm_module._accumulate(*args)
+        xx = gmm_module._design(frames)
+        whole = gmm_module._accumulate(xx, gmm)
         monkeypatch.setattr(gmm_module, "_MAX_CHUNK_FLOATS", 7 * 4)
-        chunked = gmm_module._accumulate(*args)
+        chunked = gmm_module._accumulate(xx, gmm)
         for a, b in zip(chunked, whole):
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=0)
+
+    def test_training_matches_single_chunk(self, monkeypatch):
+        rng = np.random.default_rng(34)
+        frames = _clustered_frames(rng, 1000, 5)
+        config = GmmTrainConfig(target_components=8)
+        whole, whole_history = train_gmm(frames, config, return_history=True)
+
+        chunk_lengths = {}
+        chunks = gmm_module._log_likelihood_chunks
+
+        def recorded(xx, proj, bias):
+            lengths = chunk_lengths.setdefault(bias.shape[0], [])
+            for out in chunks(xx, proj, bias):
+                lengths.append(len(out[0]))
+                yield out
+
+        monkeypatch.setattr(gmm_module, "_log_likelihood_chunks", recorded)
+        monkeypatch.setattr(gmm_module, "_MAX_CHUNK_FLOATS", 8 * 37)
+        chunked, chunked_history = train_gmm(frames, config,
+                                             return_history=True)
+        # Every E-step, at C = 2, 4 and 8, spans several chunks of
+        # 296 / C rows, and the last chunk of each is short.
+        assert sorted(chunk_lengths) == [2, 4, 8]
+        for n_components, lengths in chunk_lengths.items():
+            rows = 8 * 37 // n_components
+            per_step = -(-1000 // rows)
+            assert lengths[:per_step] == [rows] * (per_step - 1) + [1000 % rows]
+            assert lengths == lengths[:per_step] * (len(lengths) // per_step)
+
+        assert [len(t) for t in chunked_history] == [len(t) for t in whole_history]
+        for a, b in zip(chunked_history, whole_history):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=0)
+        for part in ("weights", "means", "variances"):
+            np.testing.assert_allclose(getattr(chunked, part),
+                                       getattr(whole, part), rtol=1e-12, atol=0)
 
     def test_zero_frames_give_empty_scores(self):
         gmm, _ = self._setup()
