@@ -8,16 +8,19 @@ scores), and ``grid`` (front-end variants crossed with Gaussian counts).
 All tabular I/O is TSV under one rule (:mod:`spoofmeter.tables`): blank
 lines and ``#`` lines are skipped anywhere, and the header is the first line
 that is neither. Every output embeds the configuration that produced it in
-leading ``#`` comment lines, with no timestamps, so identical invocations
-produce byte-identical artifacts. Each output is written beside ``--out``
-and renamed over it (:func:`spoofmeter.tables.replacing`), so a failed
-command leaves an earlier output as it was.
+leading ``#`` comment lines, with no timestamps, so identical invocations on
+the same machine at the same BLAS thread count produce byte-identical
+artifacts (EM's matrix products round by how BLAS splits them over threads).
+Each output is written beside ``--out`` and renamed over it
+(:func:`spoofmeter.tables.replacing`), so a failed command leaves an earlier
+output as it was.
 
 The run configuration (``--config``) is a JSON object with the optional
 keys ``sample_rate``, ``cqt``, ``cqcc`` and ``gmm``. The keys of the last
 three are the fields of :class:`~spoofmeter.cqt.CqtConfig`,
 :class:`~spoofmeter.features.CqccConfig` and
-:class:`~spoofmeter.gmm.GmmTrainConfig`, typed as those fields are (see
+:class:`~spoofmeter.gmm.GmmTrainConfig` (``target_components``,
+``em_iters_per_stage`` and ``seed``), typed as those fields are (see
 :mod:`spoofmeter.config`); unknown keys and wrong types are errors that
 name the file. ``grid`` overrides the config's ``cqcc`` block flags
 (``include_zeroth`` and ``use_*``) by ``--variants`` and its
@@ -239,6 +242,9 @@ def _cmd_grid(args) -> int:
     if not variants:
         raise UsageError("grid: --variants is empty")
     variant_flags = {v: parse_variant(v) for v in variants}
+    # A repeated cell would train again and write the same row twice.
+    if len({tuple(f.values()) for f in variant_flags.values()}) < len(variants):
+        raise UsageError("grid: --variants repeats a variant")
     try:
         cell_gmms = [replace(gmm_config, target_components=int(c))
                      for c in args.gaussians.split(",") if c.strip()]
@@ -246,6 +252,8 @@ def _cmd_grid(args) -> int:
         raise UsageError(f"grid: bad --gaussians value ({exc})") from None
     if not cell_gmms:
         raise UsageError("grid: --gaussians is empty")
+    if len({g.target_components for g in cell_gmms}) < len(cell_gmms):
+        raise UsageError("grid: --gaussians repeats a count")
     cmvn_settings = {"raw": [False], "cmvn": [True],
                      "both": [False, True]}[args.cmvn]
 

@@ -1,10 +1,12 @@
 """Diagonal-covariance Gaussian mixtures: EM training and stable scoring.
 
-Training uses a binary-splitting schedule: start from the global
-mean/variance as a single component, double the component count by
-perturbing each mean by +/- 0.2 standard deviations, and run a fixed number
-of EM iterations after every split until the target is reached. The schedule
-involves no randomness, so training is deterministic for given data.
+Training uses binary splitting: from the global mean/variance as one
+component, double the component count by moving each mean +/- 0.2 standard
+deviations, then run at most ``em_iters_per_stage`` EM iterations, until the
+target is reached. A stage stops early once the average log-likelihood moves
+by less than ``_CONVERGENCE_TOL`` (relative). Variances are floored at
+``_VARIANCE_FLOOR_FACTOR`` times the global per-dimension variance. The
+schedule involves no randomness, so training is deterministic for given data.
 
 Scoring and the E-step share one fused kernel, the standard GMM-UBM form
 (Reynolds et al., 2000). Expanding the quadratic, component c's joint
@@ -48,6 +50,12 @@ _EXP_FLOOR = -700.0
 # parameters instead of dividing by a vanishing count.
 _MIN_COMPONENT_MASS = 1e-8
 
+# Keeps a component on a few near-equal frames from an unbounded density.
+_VARIANCE_FLOOR_FACTOR = 1e-3
+
+# Once the average LL levels off, more iterations cost time for little gain.
+_CONVERGENCE_TOL = 1e-5
+
 
 @dataclass(frozen=True)
 class GmmTrainConfig:
@@ -60,8 +68,6 @@ class GmmTrainConfig:
 
     target_components: int = 2048
     em_iters_per_stage: int = 10
-    variance_floor_factor: float = 1e-3
-    convergence_tol: float = 1e-5
     seed: int = 0
 
     def __post_init__(self):
@@ -71,10 +77,6 @@ class GmmTrainConfig:
                 f"target_components must be a power of two >= 1, got {c}")
         if self.em_iters_per_stage < 1:
             raise ConfigError("em_iters_per_stage must be >= 1")
-        if self.variance_floor_factor <= 0.0:
-            raise ConfigError("variance_floor_factor must be positive")
-        if self.convergence_tol <= 0.0:
-            raise ConfigError("convergence_tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -116,12 +118,11 @@ class DiagGmm:
 
 
 def train_gmm(frames, config: GmmTrainConfig, return_history: bool = False):
-    """Fit a diagonal GMM to pooled frames by binary-splitting EM.
+    """Fit a diagonal GMM to pooled frames by the module's binary-splitting EM.
 
-    Variances are floored at ``variance_floor_factor`` times the global
-    per-dimension variance. With ``return_history`` the per-stage traces of
-    average per-frame log-likelihood (one value per EM iteration, evaluated
-    at the iteration's starting parameters) are returned alongside the model.
+    With ``return_history`` the per-stage traces of average per-frame
+    log-likelihood (one value per EM iteration, evaluated at the iteration's
+    starting parameters) are returned alongside the model.
     The design matrix ``[x², x]`` holds ``2·n·D`` float64 while the call runs.
     """
     frames = np.asarray(frames, dtype=np.float64)
@@ -139,7 +140,7 @@ def train_gmm(frames, config: GmmTrainConfig, return_history: bool = False):
         raise DegenerateDataError("all training frames are identical")
     # Constant dimensions get a tiny positive stand-in so the floor stays > 0.
     var_basis = np.maximum(global_var, 1e-12 * max(global_var.max(), 1.0))
-    floor = config.variance_floor_factor * var_basis
+    floor = _VARIANCE_FLOOR_FACTOR * var_basis
 
     gmm = DiagGmm(weights=np.array([1.0]), means=global_mean[None, :].copy(),
                   variances=np.maximum(global_var, floor)[None, :])
@@ -154,7 +155,7 @@ def train_gmm(frames, config: GmmTrainConfig, return_history: bool = False):
             gmm = _maximize(counts, sums, gmm, floor, n_frames)
             if len(stage_trace) >= 2:
                 prev, cur = stage_trace[-2], stage_trace[-1]
-                if abs(cur - prev) < config.convergence_tol * max(1.0, abs(prev)):
+                if abs(cur - prev) < _CONVERGENCE_TOL * max(1.0, abs(prev)):
                     break
         history.append(stage_trace)
 

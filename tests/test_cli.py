@@ -310,15 +310,23 @@ class TestErrorHandling:
 
         monkeypatch.setattr(cli, "train_detector", no_training)
         out = tmp_path / "grid.tsv"
-        rc = main(["grid", "--nat", str(workspace["nat"]),
-                   "--artif", str(workspace["artif"]),
-                   "--eval", str(workspace["eval"]),
-                   "--variants", "stat", "--gaussians", "2,4,3",
-                   "--config", str(workspace["config"]), "--out", str(out)])
-        assert rc == 1
-        assert trained == []
-        assert "--gaussians" in capsys.readouterr().err
-        assert not out.exists()
+        # A count that is not a power of two, and repeated cells: a repeated
+        # count, or two spellings that parse to the same variant.
+        for variants, gaussians, flag in [
+                ("stat", "2,4,3", "--gaussians"),
+                ("stat", "2,4,2", "--gaussians"),
+                ("z+stat,stat+z", "2", "--variants"),
+                ("stat,delta,stat", "2", "--variants")]:
+            rc = main(["grid", "--nat", str(workspace["nat"]),
+                       "--artif", str(workspace["artif"]),
+                       "--eval", str(workspace["eval"]),
+                       "--variants", variants, "--gaussians", gaussians,
+                       "--config", str(workspace["config"]),
+                       "--out", str(out)])
+            assert rc == 1
+            assert trained == []
+            assert flag in capsys.readouterr().err
+            assert not out.exists()
 
     @pytest.mark.parametrize("broken, keep, error", [
         ("eval", "spoof", EmptyPopulationError),
@@ -417,14 +425,22 @@ class TestErrorHandling:
         assert f"{table}: line 3:" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_unknown_config_key_exits_2(self, workspace, tmp_path):
+    @pytest.mark.parametrize("config_text", [
+        '{"gms": {}}',
+        '{"gmm": {"convergence_tol": 1e-9}}',
+        '{"gmm": {"variance_floor_factor": 1e-3}}',
+    ])
+    def test_unknown_config_key_exits_2(self, workspace, tmp_path, capsys,
+                                        config_text):
         config = tmp_path / "bad2.json"
-        config.write_text('{"gms": {}}')
+        config.write_text(config_text)
         rc = main(["train", "--nat", str(workspace["nat"]),
                    "--artif", str(workspace["artif"]),
                    "--config", str(config),
                    "--out", str(tmp_path / "m.json")])
         assert rc == 2
+        assert str(config) in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
 
 
 def test_console_script_version():

@@ -33,6 +33,23 @@ def one_frame(gmm, y):
     return frame_log_likelihoods(gmm, np.asarray(y)[None, :])[0]
 
 
+def check_two_cluster_recovery():
+    # Oracle: the generating parameters of two well-separated clusters.
+    # Symmetric bimodal data is a slow case for split-init EM (both
+    # components own both clusters at first), so give the stage room.
+    rng = np.random.default_rng(21)
+    frames = np.concatenate([
+        rng.normal(-5.0, 0.5, size=(5000, 1)),
+        rng.normal(+5.0, 0.5, size=(5000, 1)),
+    ])
+    gmm = train_gmm(frames, GmmTrainConfig(
+        target_components=2, em_iters_per_stage=40))
+    means = np.sort(gmm.means.ravel())
+    assert abs(means[0] - (-5.0)) < 0.1
+    assert abs(means[1] - 5.0) < 0.1
+    assert np.max(np.abs(gmm.weights - 0.5)) < 0.05
+
+
 class TestTraining:
     def test_single_component_closed_form(self):
         rng = np.random.default_rng(20)
@@ -43,26 +60,22 @@ class TestTraining:
         assert np.max(np.abs(gmm.variances[0] - frames.var(axis=0))) < 1e-9
         assert gmm.weights[0] == 1.0
 
-    def test_two_cluster_recovery(self):
-        # Oracle: the generating parameters of two well-separated clusters.
-        # Symmetric bimodal data is a slow case for split-init EM (both
-        # components own both clusters at first), so give the stage room.
-        rng = np.random.default_rng(21)
-        frames = np.concatenate([
-            rng.normal(-5.0, 0.5, size=(5000, 1)),
-            rng.normal(+5.0, 0.5, size=(5000, 1)),
-        ])
-        gmm = train_gmm(frames, GmmTrainConfig(
-            target_components=2, em_iters_per_stage=40, convergence_tol=1e-9))
-        means = np.sort(gmm.means.ravel())
-        assert abs(means[0] - (-5.0)) < 0.1
-        assert abs(means[1] - 5.0) < 0.1
-        assert np.max(np.abs(gmm.weights - 0.5)) < 0.05
+    def test_two_cluster_recovery(self, monkeypatch):
+        # The first steps gain little LL each, so the default tolerance ends
+        # the stage too soon (see the xfail below); a tight one lets it run.
+        monkeypatch.setattr(gmm_module, "_CONVERGENCE_TOL", 1e-9)
+        check_two_cluster_recovery()
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "known EM defect: at the default _CONVERGENCE_TOL the 2-component "
+        "stage stops after 3 iterations with means at +/-1.04"))
+    def test_two_cluster_recovery_at_default_tolerance(self):
+        check_two_cluster_recovery()
 
     def test_invariants_on_random_data(self):
         rng = np.random.default_rng(22)
         frames = rng.standard_normal((2000, 6))
-        config = GmmTrainConfig(target_components=8, variance_floor_factor=1e-3)
+        config = GmmTrainConfig(target_components=8)
         gmm = train_gmm(frames, config)
         assert abs(gmm.weights.sum() - 1.0) < 1e-9
         floor = 1e-3 * frames.var(axis=0)
