@@ -96,7 +96,8 @@ def load_run_config(path=None):
     96-bin/octave CQT over nine octaves below Nyquist, 29 delta+double-delta
     CQCCs without normalization, and 2048 Gaussians per class. ``f_max``
     defaults to Nyquist, ``f_min`` to nine octaves below the ``f_max`` in
-    effect, and ``hop`` to a hundredth of the rate.
+    effect, and ``hop`` to a hundredth of the rate. A uniform grid too short
+    for ``num_ceps`` is an error naming the file, before any WAV is read.
     """
     doc = {}
     if path is not None:
@@ -119,7 +120,12 @@ def load_run_config(path=None):
     if isinstance(cqt, dict) and "f_max" in cqt:
         f_max = checked(cqt["f_max"], float, f"{where}: cqt: f_max")
         defaults["cqt"].update(f_max=f_max, f_min=f_max / 2.0 ** DEFAULT_OCTAVES)
-    return from_doc(FeatureConfig, doc, where, defaults), gmm
+    features = from_doc(FeatureConfig, doc, where, defaults)
+    grid, num_ceps = features.effective_grid_size, features.cqcc.num_ceps
+    if grid < num_ceps + 1:
+        raise ConfigError(f"{where}: uniform grid of {grid} points cannot "
+                          f"yield {num_ceps} cepstral coefficients")
+    return features, gmm
 
 
 def parse_variant(token: str) -> dict:
@@ -241,7 +247,10 @@ def _cmd_grid(args) -> int:
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
     if not variants:
         raise UsageError("grid: --variants is empty")
-    variant_flags = {v: parse_variant(v) for v in variants}
+    try:
+        variant_flags = {v: parse_variant(v) for v in variants}
+    except ConfigError as exc:
+        raise UsageError(f"grid: bad --variants value ({exc})") from None
     # A repeated cell would train again and write the same row twice.
     if len({tuple(f.values()) for f in variant_flags.values()}) < len(variants):
         raise UsageError("grid: --variants repeats a variant")

@@ -2,11 +2,13 @@
 
 Training uses binary splitting: from the global mean/variance as one
 component, double the component count by moving each mean +/- 0.2 standard
-deviations, then run at most ``em_iters_per_stage`` EM iterations, until the
-target is reached. A stage stops early once the average log-likelihood moves
-by less than ``_CONVERGENCE_TOL`` (relative). Variances are floored at
-``_VARIANCE_FLOOR_FACTOR`` times the global per-dimension variance. The
-schedule involves no randomness, so training is deterministic for given data.
+deviations, then run exactly ``em_iters_per_stage`` EM iterations, until the
+target is reached. No stage stops early, since slow early LL gains need not
+mean convergence: both halves of a split start on all of the data. Variances
+are floored at ``_VARIANCE_FLOOR_FACTOR`` times the global per-dimension
+variance. The schedule draws no random numbers and does not depend on the
+data, so the C-component stage model of every run that reaches C components
+is the same.
 
 Scoring and the E-step share one fused kernel, the standard GMM-UBM form
 (Reynolds et al., 2000). Expanding the quadratic, component c's joint
@@ -52,9 +54,6 @@ _MIN_COMPONENT_MASS = 1e-8
 
 # Keeps a component on a few near-equal frames from an unbounded density.
 _VARIANCE_FLOOR_FACTOR = 1e-3
-
-# Once the average LL levels off, more iterations cost time for little gain.
-_CONVERGENCE_TOL = 1e-5
 
 
 @dataclass(frozen=True)
@@ -121,8 +120,8 @@ def train_gmm(frames, config: GmmTrainConfig, return_history: bool = False):
     """Fit a diagonal GMM to pooled frames by the module's binary-splitting EM.
 
     With ``return_history`` the per-stage traces of average per-frame
-    log-likelihood (one value per EM iteration, evaluated at the iteration's
-    starting parameters) are returned alongside the model.
+    log-likelihood (``em_iters_per_stage`` values per stage, each evaluated at
+    its iteration's starting parameters) are returned alongside the model.
     The design matrix ``[x², x]`` holds ``2·n·D`` float64 while the call runs.
     """
     frames = np.asarray(frames, dtype=np.float64)
@@ -153,10 +152,6 @@ def train_gmm(frames, config: GmmTrainConfig, return_history: bool = False):
             avg_ll, counts, sums = _accumulate(xx, gmm)
             stage_trace.append(avg_ll)
             gmm = _maximize(counts, sums, gmm, floor, n_frames)
-            if len(stage_trace) >= 2:
-                prev, cur = stage_trace[-2], stage_trace[-1]
-                if abs(cur - prev) < _CONVERGENCE_TOL * max(1.0, abs(prev)):
-                    break
         history.append(stage_trace)
 
     return (gmm, history) if return_history else gmm

@@ -13,7 +13,7 @@ from helpers import (
     mulaw_distort,
     resonant_noise,
 )
-from spoofmeter import cli
+from spoofmeter import cli, features
 from spoofmeter.cli import main, parse_variant
 from spoofmeter.detector import CACHE_ENV_VAR
 from spoofmeter.errors import (
@@ -316,7 +316,10 @@ class TestErrorHandling:
                 ("stat", "2,4,3", "--gaussians"),
                 ("stat", "2,4,2", "--gaussians"),
                 ("z+stat,stat+z", "2", "--variants"),
-                ("stat,delta,stat", "2", "--variants")]:
+                ("stat,delta,stat", "2", "--variants"),
+                # An unknown block name, and a variant with no feature block.
+                ("z+static", "2", "--variants"),
+                ("z", "2", "--variants")]:
             rc = main(["grid", "--nat", str(workspace["nat"]),
                        "--artif", str(workspace["artif"]),
                        "--eval", str(workspace["eval"]),
@@ -399,6 +402,29 @@ class TestErrorHandling:
         assert rc == 2
         assert str(config) in capsys.readouterr().err
         assert not (tmp_path / "m.json").exists()
+
+    def test_too_short_uniform_grid_exits_2_naming_config_before_extraction(
+            self, workspace, tmp_path, capsys, monkeypatch):
+        extracted = []
+
+        def no_extraction(*args, **kwargs):
+            extracted.append(args)
+            raise DataError("extraction is not expected")
+
+        monkeypatch.setattr(features, "extract_features", no_extraction)
+        # At one point per bin, 4 octaves of 12 bins give an 8-point grid,
+        # too short for the default 29 cepstral coefficients.
+        config = tmp_path / "short_grid.json"
+        config.write_text(json.dumps(
+            {"cqt": RUN_CONFIG["cqt"], "cqcc": {"resample_period": 1}}))
+        out = tmp_path / "m.json"
+        rc = main(["train", "--nat", str(workspace["nat"]),
+                   "--artif", str(workspace["artif"]),
+                   "--config", str(config), "--out", str(out)])
+        assert rc == 2
+        assert f"{config}: uniform grid of 8 points" in capsys.readouterr().err
+        assert extracted == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("label", ["bonafide", "spoof"])
     def test_eer_without_one_population_exits_2_naming_file(

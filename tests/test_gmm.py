@@ -33,21 +33,14 @@ def one_frame(gmm, y):
     return frame_log_likelihoods(gmm, np.asarray(y)[None, :])[0]
 
 
-def check_two_cluster_recovery():
-    # Oracle: the generating parameters of two well-separated clusters.
-    # Symmetric bimodal data is a slow case for split-init EM (both
-    # components own both clusters at first), so give the stage room.
+def two_cluster_frames():
+    # Symmetric bimodal data is a slow case for split-init EM: both
+    # components own both clusters at first, so early steps gain little LL.
     rng = np.random.default_rng(21)
-    frames = np.concatenate([
+    return np.concatenate([
         rng.normal(-5.0, 0.5, size=(5000, 1)),
         rng.normal(+5.0, 0.5, size=(5000, 1)),
     ])
-    gmm = train_gmm(frames, GmmTrainConfig(
-        target_components=2, em_iters_per_stage=40))
-    means = np.sort(gmm.means.ravel())
-    assert abs(means[0] - (-5.0)) < 0.1
-    assert abs(means[1] - 5.0) < 0.1
-    assert np.max(np.abs(gmm.weights - 0.5)) < 0.05
 
 
 class TestTraining:
@@ -60,17 +53,32 @@ class TestTraining:
         assert np.max(np.abs(gmm.variances[0] - frames.var(axis=0))) < 1e-9
         assert gmm.weights[0] == 1.0
 
-    def test_two_cluster_recovery(self, monkeypatch):
-        # The first steps gain little LL each, so the default tolerance ends
-        # the stage too soon (see the xfail below); a tight one lets it run.
-        monkeypatch.setattr(gmm_module, "_CONVERGENCE_TOL", 1e-9)
-        check_two_cluster_recovery()
+    def test_two_cluster_recovery(self):
+        # Oracle: the generating parameters of two well-separated clusters.
+        gmm = train_gmm(two_cluster_frames(), GmmTrainConfig(
+            target_components=2, em_iters_per_stage=40))
+        means = np.sort(gmm.means.ravel())
+        assert abs(means[0] - (-5.0)) < 0.1
+        assert abs(means[1] - 5.0) < 0.1
+        assert np.max(np.abs(gmm.weights - 0.5)) < 0.05
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-        "known EM defect: at the default _CONVERGENCE_TOL the 2-component "
-        "stage stops after 3 iterations with means at +/-1.04"))
-    def test_two_cluster_recovery_at_default_tolerance(self):
-        check_two_cluster_recovery()
+    def test_every_stage_runs_the_configured_iterations(self):
+        config = GmmTrainConfig(target_components=8, em_iters_per_stage=10)
+        _, history = train_gmm(two_cluster_frames(), config,
+                               return_history=True)
+        assert [len(trace) for trace in history] == [10, 10, 10]
+
+    def test_smaller_run_is_a_prefix_of_a_larger_one(self):
+        # The C-component stage model depends only on the frames and the
+        # stage index, so a grid could train once up to its largest count.
+        rng = np.random.default_rng(25)
+        frames = _clustered_frames(rng, 2000, 5)
+        _, small = train_gmm(frames, GmmTrainConfig(target_components=8),
+                             return_history=True)
+        _, large = train_gmm(frames, GmmTrainConfig(target_components=32),
+                             return_history=True)
+        assert len(small) == 3 and len(large) == 5
+        assert small == large[:3]
 
     def test_invariants_on_random_data(self):
         rng = np.random.default_rng(22)
