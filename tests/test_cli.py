@@ -84,7 +84,7 @@ def _data_rows(path):
 class TestTrainScoreEer:
     def test_train_writes_model(self, trained_model):
         doc = json.loads(trained_model.read_text())
-        assert doc["format_version"] == 1
+        assert doc["format_version"] == 2
         assert doc["metadata"]["seed"] == "7"
 
     def test_score_outputs_manifest_order(self, workspace, trained_model):
@@ -271,6 +271,16 @@ class TestErrorHandling:
                    "--out", str(workspace["root"] / "never.json")])
         assert rc == 2
         assert not (workspace["root"] / "never.json").exists()
+
+    def test_model_that_is_not_utf8_exits_2_naming_file(self, workspace,
+                                                        tmp_path, capsys):
+        model = tmp_path / "model.json"
+        model.write_bytes(b'{"format_version": 2, "metadata": "\xff"}')
+        rc = main(["score", "--model", str(model),
+                   "--eval", str(workspace["eval"]),
+                   "--out", str(tmp_path / "scores.tsv")])
+        assert rc == 2
+        assert f"{model}: not UTF-8" in capsys.readouterr().err
 
     def test_partial_output_removed_on_failure(self, workspace, trained_model,
                                                tmp_path):

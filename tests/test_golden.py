@@ -2,8 +2,11 @@
 
 Nothing here runs EM or feature extraction, so the expected strings do not
 depend on the BLAS build. They pin the model JSON, score, EER and report
-formats that the package promises to keep byte-identical.
+formats that the package promises to keep byte-identical, and hold a model
+in the retired format 1 that must still load.
 """
+
+import numpy as np
 
 from spoofmeter import (
     CqccConfig,
@@ -11,8 +14,11 @@ from spoofmeter import (
     DetectorModel,
     DiagGmm,
     FeatureConfig,
+    FeatureMatrix,
     ScoreRecord,
     ScoreSet,
+    llr_score,
+    load_model,
     save_model,
     write_score_file,
 )
@@ -35,6 +41,7 @@ def _model():
                          metadata={"seed": "7", "tool": "spoofmeter 0.1.0"})
 
 
+# _model() in format 1, which load_model still reads.
 MODEL_JSON = """\
 {
  "artif_gmm": {
@@ -120,6 +127,90 @@ MODEL_JSON = """\
 }
 """
 
+# _model() as save_model writes it: format 2.
+MODEL_JSON_V2 = """\
+{
+ "artif_gmm": {
+  "means": {
+   "data": "mpmZmZmZub8AAAAAAAAEQAAAAAAAAAAAAAAAAAAAEMA=",
+   "dtype": "<f8",
+   "shape": [
+    2,
+    2
+   ]
+  },
+  "variances": {
+   "data": "MzMzMzMz0z9mZmZmZmbmPwAAAAAAAPg/AAAAAAAABEA=",
+   "dtype": "<f8",
+   "shape": [
+    2,
+    2
+   ]
+  },
+  "weights": {
+   "data": "AAAAAAAA4D8AAAAAAADgPw==",
+   "dtype": "<f8",
+   "shape": [
+    2
+   ]
+  }
+ },
+ "feature_config": {
+  "cqcc": {
+   "apply_cmvn": false,
+   "include_zeroth": false,
+   "num_ceps": 2,
+   "resample_period": 16,
+   "use_delta": false,
+   "use_delta2": false,
+   "use_static": true
+  },
+  "cqt": {
+   "bins_per_octave": 12,
+   "f_max": 8000.0,
+   "f_min": 500.0,
+   "hop": 160
+  },
+  "sample_rate": 16000
+ },
+ "format_version": 2,
+ "grid": {
+  "f_max": 8000.0,
+  "f_min": 500.0,
+  "size": 16
+ },
+ "metadata": {
+  "seed": "7",
+  "tool": "spoofmeter 0.1.0"
+ },
+ "nat_gmm": {
+  "means": {
+   "data": "mpmZmZmZuT8AAAAAAAAEwFVVVVVVVdU/AAAAAAAAEEA=",
+   "dtype": "<f8",
+   "shape": [
+    2,
+    2
+   ]
+  },
+  "variances": {
+   "data": "AAAAAAAA8D8AAAAAAADgPwAAAAAAAABA/Knx0k1iUD8=",
+   "dtype": "<f8",
+   "shape": [
+    2,
+    2
+   ]
+  },
+  "weights": {
+   "data": "AAAAAAAA0D8AAAAAAADoPw==",
+   "dtype": "<f8",
+   "shape": [
+    2
+   ]
+  }
+ }
+}
+"""
+
 SCORES_TSV = (
     "# tool: spoofmeter 0.1.0\n"
     "# seed: 3\n"
@@ -175,7 +266,35 @@ OPINIONS_INPUT = (
 def test_save_model_bytes(tmp_path):
     path = tmp_path / "model.json"
     save_model(_model(), path)
-    assert path.read_text(encoding="utf-8") == MODEL_JSON
+    assert path.read_text(encoding="utf-8") == MODEL_JSON_V2
+
+
+def _assert_same_arrays(got, want):
+    for name in ("nat", "artif"):
+        for key in ("weights", "means", "variances"):
+            a = getattr(getattr(got, name), key)
+            b = getattr(getattr(want, name), key)
+            assert a.dtype == b.dtype == np.float64
+            assert np.array_equal(a, b)
+
+
+def test_format_1_model_loads_and_scores_as_before(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text(MODEL_JSON, encoding="utf-8")
+    loaded, model = load_model(path), _model()
+    _assert_same_arrays(loaded, model)
+    assert loaded.feature_config == model.feature_config
+    assert loaded.metadata == model.metadata
+    feats = FeatureMatrix(np.random.default_rng(5).standard_normal((9, 2)))
+    assert llr_score(loaded, feats) == llr_score(model, feats)
+
+
+def test_format_1_model_resaves_as_format_2_with_the_same_arrays(tmp_path):
+    v1, v2 = tmp_path / "v1.json", tmp_path / "v2.json"
+    v1.write_text(MODEL_JSON, encoding="utf-8")
+    save_model(load_model(v1), v2)
+    assert v2.read_text(encoding="utf-8") == MODEL_JSON_V2
+    _assert_same_arrays(load_model(v2), load_model(v1))
 
 
 def test_write_score_file_bytes(tmp_path):

@@ -15,6 +15,7 @@ from spoofmeter import (
     train_detector,
 )
 from spoofmeter.errors import SchemaError, VersionMismatchError
+from spoofmeter.model_io import _array_doc
 
 
 @pytest.fixture(scope="module")
@@ -87,9 +88,9 @@ def test_malformed_gmm_arrays(model, tmp_path):
     path = tmp_path / "m.json"
     save_model(model, path)
     doc = json.loads(path.read_text())
-    doc["nat_gmm"]["weights"] = [0.4, 0.4]  # no longer sums to 1
+    doc["nat_gmm"]["weights"] = _array_doc(np.array([0.4, 0.4]))
     path.write_text(json.dumps(doc))
-    with pytest.raises(SchemaError):
+    with pytest.raises(SchemaError, match="sum to 1"):
         load_model(path)
 
 
@@ -149,3 +150,100 @@ def test_save_refuses_what_load_would_reject(model, tmp_path):
     with pytest.raises(ConfigError, match="include_zeroth"):
         save_model(bad, tmp_path / "m.json")
     assert not (tmp_path / "m.json").exists()
+
+
+def _saved_doc(model, path):
+    save_model(model, path)
+    return json.loads(path.read_text())
+
+
+def _as_format_1(doc, model):
+    doc["format_version"] = 1
+    for name, gmm in (("nat_gmm", model.nat), ("artif_gmm", model.artif)):
+        doc[name] = {key: getattr(gmm, key).tolist()
+                     for key in ("weights", "means", "variances")}
+    return doc
+
+
+def _set(doc, keys, value):
+    for key in keys[:-1]:
+        doc = doc[key]
+    doc[keys[-1]] = value
+
+
+@pytest.mark.parametrize("keys, value, format_1", [
+    (("extra",), 1, False),
+    (("nat_gmm", "priors"), [0.5, 0.5], False),
+    (("grid", "f_min"), 400.0, False),
+    (("grid", "f_max"), 7000.0, False),
+    (("format_version",), True, False),
+    (("format_version",), 1.0, False),
+    (("metadata",), [["seed", "7"]], False),
+    (("metadata", "seed"), 7, False),
+    (("nat_gmm", "weights"), ["0.5", "0.5"], True),
+    (("nat_gmm", "weights"), [True, False], True),
+], ids=["unknown-top-level-key", "unknown-gmm-key", "grid-f_min",
+        "grid-f_max", "version-true", "version-float", "metadata-pairs",
+        "metadata-int-value", "format-1-strings", "format-1-bools"])
+def test_malformed_document_rejected_naming_file(model, tmp_path, keys, value,
+                                                 format_1):
+    path = tmp_path / "m.json"
+    doc = _saved_doc(model, path)
+    if format_1:
+        doc = _as_format_1(doc, model)
+    _set(doc, keys, value)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError, match=re.escape(str(path))):
+        load_model(path)
+
+
+def test_file_that_is_not_utf8_names_file(tmp_path):
+    path = tmp_path / "m.json"
+    path.write_bytes(b'{"format_version": 2, "metadata": "\xff"}')
+    with pytest.raises(SchemaError, match=re.escape(f"{path}: not UTF-8")):
+        load_model(path)
+
+
+def _drop(key):
+    def damage(array_doc):
+        del array_doc[key]
+    return damage
+
+
+@pytest.mark.parametrize("damage, message", [
+    (lambda a: a.update(data="@@@@"), "not a base64 string"),
+    (lambda a: a.update(data="AAAA=AAA"), "not a base64 string"),
+    (lambda a: a.update(data="éééé"), "not a base64 string"),
+    (lambda a: a.update(data=[0.5, 0.5]), "not a base64 string"),
+    (lambda a: a.update(data=a["data"][:-4]), "bytes of data"),
+    (lambda a: a.update(shape=[3]), "bytes of data"),
+    (lambda a: a.update(shape=[2, 1]), "inconsistent GMM parameter shapes"),
+    (lambda a: a.update(shape=[True]), "shape must be int"),
+    (lambda a: a.update(shape=[-2]), "negative"),
+    (lambda a: a.update(shape=2), "shape must be a list"),
+    (lambda a: a.update(dtype=">f8"), "dtype"),
+    (lambda a: a.update(dtype="<f4"), "dtype"),
+    (_drop("dtype"), "missing keys"),
+    (_drop("shape"), "missing keys"),
+    (lambda a: a.update(order="C"), "unknown keys"),
+], ids=["bad-base64", "bad-padding", "non-ascii", "data-not-string",
+        "short-data", "shape-too-large", "shape-wrong-rank", "shape-bool",
+        "shape-negative", "shape-not-list", "dtype-big-endian",
+        "dtype-float32", "missing-dtype", "missing-shape", "extra-key"])
+def test_damaged_array_names_file(model, tmp_path, damage, message):
+    path = tmp_path / "m.json"
+    doc = _saved_doc(model, path)
+    damage(doc["nat_gmm"]["weights"])
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError, match=re.escape(str(path))) as info:
+        load_model(path)
+    assert message in str(info.value)
+
+
+def test_format_2_document_with_list_arrays_rejected(model, tmp_path):
+    path = tmp_path / "m.json"
+    doc = _as_format_1(_saved_doc(model, path), model)
+    doc["format_version"] = 2
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError, match="must be a JSON object, got list"):
+        load_model(path)

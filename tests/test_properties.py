@@ -1,5 +1,7 @@
 """Property tests: round trips that must hold for every valid input."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -23,6 +25,7 @@ from spoofmeter.features import (
     read_feature_cache,
     write_feature_cache,
 )
+from spoofmeter.model_io import _array_doc, _array_from_doc
 from spoofmeter.tables import read_table, write_table
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
@@ -84,6 +87,24 @@ def test_save_load_save_is_byte_identical(scratch, config, seed, n_components,
     save_model(loaded, second)
     assert first.read_bytes() == second.read_bytes()
     assert loaded.feature_config == config.pinned()
+
+
+_FINFO = np.finfo(np.float64)
+
+
+@PROPERTY_SETTINGS
+@given(array=arrays(np.float64, st.lists(st.integers(0, 5), max_size=3)
+                    .map(tuple),
+                    elements=st.one_of(
+                        st.sampled_from([-0.0, 5e-324, -5e-324, 2.2e-308,
+                                         _FINFO.max, -_FINFO.max,
+                                         _FINFO.tiny]),
+                        st.floats(allow_nan=False, allow_infinity=False))))
+def test_model_array_codec_is_bit_exact(array):
+    doc = json.loads(json.dumps(_array_doc(array)))
+    back = _array_from_doc(doc, 2, "array")
+    assert back.dtype == np.float64 and back.shape == array.shape
+    assert back.tobytes() == array.tobytes()
 
 
 # --- tables ----------------------------------------------------------------
