@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import functools
 import math
-import mmap
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -152,20 +151,6 @@ def _lowpass_taps(up: int, down: int) -> np.ndarray:
     cutoff = min(1.0 / up, 1.0 / down)
     half = (TAPS_PER_PHASE * up) // 2
     n = np.arange(-half, half + 1)
-    return cached_array(
-        cutoff * np.sinc(cutoff * n) * np.kaiser(2 * half + 1, KAISER_BETA))
-
-
-def cached_array(array: np.ndarray) -> np.ndarray:
-    """Read-only copy of ``array`` for a long-lived cache, in its own memory map.
-
-    A cached array left on the allocator's heap keeps the memory freed around
-    it from going back to the system, so every later pass holds more: in the
-    benchmark's score-batch loop that raised peak RSS by 4-8 MB. A private
-    anonymous map is returned whole when the cache drops the array.
-    """
-    out = np.frombuffer(mmap.mmap(-1, array.nbytes), dtype=array.dtype)
-    out = out.reshape(array.shape)
-    out[...] = array
-    out.setflags(write=False)
-    return out
+    taps = cutoff * np.sinc(cutoff * n) * np.kaiser(2 * half + 1, KAISER_BETA)
+    taps.setflags(write=False)
+    return taps

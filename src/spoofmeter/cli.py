@@ -96,8 +96,9 @@ def load_run_config(path=None):
     96-bin/octave CQT over nine octaves below Nyquist, 29 delta+double-delta
     CQCCs without normalization, and 2048 Gaussians per class. ``f_max``
     defaults to Nyquist, ``f_min`` to nine octaves below the ``f_max`` in
-    effect, and ``hop`` to a hundredth of the rate. A uniform grid too short
-    for ``num_ceps`` is an error naming the file, before any WAV is read.
+    effect, and ``hop`` to a hundredth of the rate. A CQT grid of fewer than
+    2 bins, or a uniform grid too short for ``num_ceps``, is an error naming
+    the file, before any WAV is read.
     """
     doc = {}
     if path is not None:
@@ -121,6 +122,9 @@ def load_run_config(path=None):
         f_max = checked(cqt["f_max"], float, f"{where}: cqt: f_max")
         defaults["cqt"].update(f_max=f_max, f_min=f_max / 2.0 ** DEFAULT_OCTAVES)
     features = from_doc(FeatureConfig, doc, where, defaults)
+    if features.cqt.n_bins < 2:
+        raise ConfigError(f"{where}: CQT grid of {features.cqt.n_bins} bin; "
+                          f"uniform resampling needs at least 2 bins")
     grid, num_ceps = features.effective_grid_size, features.cqcc.num_ceps
     if grid < num_ceps + 1:
         raise ConfigError(f"{where}: uniform grid of {grid} points cannot "

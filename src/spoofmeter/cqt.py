@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 
-from .audio_io import AudioSignal, cached_array
+from .audio_io import AudioSignal
 from .errors import ConfigError, SignalTooShortError
 
 # The package-wide default grid: the reference CQCC front end's (Todisco 2017).
@@ -246,9 +246,10 @@ def _direct_plan(config: CqtConfig, rate: int,
         window = np.where((n >= 0) & (n < win_len), window, 0.0)
         phase = (2.0 * np.pi * ((n - (win_len - 1) / 2.0) * freqs[:n_cols])
                  / rate)
-        blocks.append(cached_array(np.stack(
-            [window * np.cos(phase), window * np.sin(phase)],
-            axis=2).reshape(hop, 2 * n_cols)))
+        block = np.stack([window * np.cos(phase), window * np.sin(phase)],
+                         axis=2).reshape(hop, 2 * n_cols)
+        block.setflags(write=False)
+        blocks.append(block)
     return _DirectPlan(first, base, tuple(blocks))
 
 

@@ -40,10 +40,12 @@ def save_model(model: DetectorModel, path) -> None:
     """Write ``model`` to ``path`` as canonical JSON in format 2.
 
     A configuration that :func:`load_model` would reject, such as an int
-    given for a bool field, raises :class:`ConfigError` and writes nothing.
+    given for a bool field, raises :class:`ConfigError`, and metadata that is
+    not an object of strings :class:`SchemaError`; either writes nothing.
     """
     config_doc = to_doc(model.feature_config)
     from_doc(FeatureConfig, config_doc, f"{path}: feature_config")
+    _check_metadata(model.metadata, f"{path}: metadata")
     doc = {
         "format_version": MODEL_FORMAT_VERSION,
         "feature_config": config_doc,
@@ -105,11 +107,7 @@ def _model_from_doc(doc) -> DetectorModel:
         if checked(grid[key], float, f"grid: {key}") != expected:
             raise SchemaError(f"grid: {key} {grid[key]} disagrees with the "
                               f"feature config's {expected}")
-    metadata = doc["metadata"]
-    if not isinstance(metadata, dict) or not all(
-            isinstance(value, str) for value in metadata.values()):
-        raise SchemaError(
-            f"metadata must be an object of strings, got {metadata!r}")
+    metadata = _check_metadata(doc["metadata"], "metadata")
     nat = _gmm_from_doc(doc["nat_gmm"], version, "nat_gmm")
     artif = _gmm_from_doc(doc["artif_gmm"], version, "artif_gmm")
     return DetectorModel(nat=nat, artif=artif, feature_config=config,
@@ -126,6 +124,15 @@ def _check_keys(doc, expected, where) -> dict:
         raise SchemaError(
             f"{where}: missing keys {missing}, unknown keys {unknown}")
     return doc
+
+
+def _check_metadata(metadata, where) -> dict:
+    if not isinstance(metadata, dict) or not all(
+            isinstance(key, str) and isinstance(value, str)
+            for key, value in metadata.items()):
+        raise SchemaError(
+            f"{where} must be an object of strings, got {metadata!r}")
+    return metadata
 
 
 def _gmm_doc(gmm: DiagGmm) -> dict:

@@ -413,8 +413,19 @@ class TestErrorHandling:
         assert str(config) in capsys.readouterr().err
         assert not (tmp_path / "m.json").exists()
 
+    @pytest.mark.parametrize("config_doc, message", [
+        # At one point per bin, 4 octaves of 12 bins give an 8-point grid,
+        # too short for the default 29 cepstral coefficients.
+        ({"cqt": RUN_CONFIG["cqt"], "cqcc": {"resample_period": 1}},
+         "uniform grid of 8 points"),
+        # 5 to 8 kHz is less than an octave: one bin, nothing to resample.
+        ({"cqt": {"bins_per_octave": 1, "f_min": 5000.0, "f_max": 8000.0},
+          "cqcc": {"num_ceps": 1}},
+         "CQT grid of 1 bin"),
+    ], ids=["grid-points", "cqt-bins"])
     def test_too_short_uniform_grid_exits_2_naming_config_before_extraction(
-            self, workspace, tmp_path, capsys, monkeypatch):
+            self, workspace, tmp_path, capsys, monkeypatch, config_doc,
+            message):
         extracted = []
 
         def no_extraction(*args, **kwargs):
@@ -422,17 +433,14 @@ class TestErrorHandling:
             raise DataError("extraction is not expected")
 
         monkeypatch.setattr(features, "extract_features", no_extraction)
-        # At one point per bin, 4 octaves of 12 bins give an 8-point grid,
-        # too short for the default 29 cepstral coefficients.
         config = tmp_path / "short_grid.json"
-        config.write_text(json.dumps(
-            {"cqt": RUN_CONFIG["cqt"], "cqcc": {"resample_period": 1}}))
+        config.write_text(json.dumps(config_doc))
         out = tmp_path / "m.json"
         rc = main(["train", "--nat", str(workspace["nat"]),
                    "--artif", str(workspace["artif"]),
                    "--config", str(config), "--out", str(out)])
         assert rc == 2
-        assert f"{config}: uniform grid of 8 points" in capsys.readouterr().err
+        assert f"{config}: {message}" in capsys.readouterr().err
         assert extracted == []
         assert not out.exists()
 

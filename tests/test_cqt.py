@@ -155,6 +155,19 @@ def test_direct_plans_are_cached_per_grid_and_rate():
         assert np.array_equal(result, cqt_spectrogram(signal, config).magnitudes)
 
 
+def test_cached_kernel_blocks_are_read_only():
+    plan = cqt._direct_plan(SMALL_CQT, RATE, cqt._BAND_MIN_WINDOW)
+    assert plan is cqt._direct_plan(SMALL_CQT, RATE, cqt._BAND_MIN_WINDOW)
+    fresh = cqt._direct_plan.__wrapped__(SMALL_CQT, RATE, cqt._BAND_MIN_WINDOW)
+    assert plan.blocks
+    for block, fresh_block in zip(plan.blocks, fresh.blocks, strict=True):
+        assert not block.flags.writeable
+        assert block.flags.c_contiguous
+        with pytest.raises(ValueError):
+            block[0, 0] = 1.0
+        assert block.tobytes() == fresh_block.tobytes()
+
+
 @pytest.mark.parametrize("n", [1500, 1501])
 def test_dirichlet_matches_its_sum(n):
     u = np.array([0.0, 1e-9, 0.3 / n, -2.5 / n, 0.02, -0.5, 0.9])

@@ -152,6 +152,19 @@ def test_save_refuses_what_load_would_reject(model, tmp_path):
     assert not (tmp_path / "m.json").exists()
 
 
+@pytest.mark.parametrize("metadata", [{"seed": 3}, {3: "seed"}, None],
+                         ids=["int-value", "int-key", "none"])
+def test_save_refuses_metadata_not_an_object_of_strings(model, tmp_path,
+                                                         metadata):
+    from dataclasses import replace
+
+    path = tmp_path / "m.json"
+    with pytest.raises(SchemaError, match=re.escape(
+            f"{path}: metadata must be an object of strings")):
+        save_model(replace(model, metadata=metadata), path)
+    assert not path.exists()
+
+
 def _saved_doc(model, path):
     save_model(model, path)
     return json.loads(path.read_text())
