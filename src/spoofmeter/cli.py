@@ -22,9 +22,11 @@ three are the fields of :class:`~spoofmeter.cqt.CqtConfig`,
 :class:`~spoofmeter.gmm.GmmTrainConfig` (``target_components``,
 ``em_iters_per_stage`` and ``seed``), typed as those fields are (see
 :mod:`spoofmeter.config`); unknown keys and wrong types are errors that
-name the file. ``grid`` overrides the config's ``cqcc`` block flags
-(``include_zeroth`` and ``use_*``) by ``--variants`` and its
-``apply_cmvn`` by ``--cmvn``: ``"apply_cmvn": true`` still runs raw cells.
+name the file. So is a front end that cannot run, which
+:class:`~spoofmeter.features.FeatureConfig` refuses before any WAV is read.
+``grid`` overrides the config's ``cqcc`` block flags (``include_zeroth``
+and ``use_*``) by ``--variants`` and its ``apply_cmvn`` by ``--cmvn``:
+``"apply_cmvn": true`` still runs raw cells.
 
 Exit codes: 0 success, 1 usage error, 2 data/validation error, 3 numerical
 failure.
@@ -96,9 +98,9 @@ def load_run_config(path=None):
     96-bin/octave CQT over nine octaves below Nyquist, 29 delta+double-delta
     CQCCs without normalization, and 2048 Gaussians per class. ``f_max``
     defaults to Nyquist, ``f_min`` to nine octaves below the ``f_max`` in
-    effect, and ``hop`` to a hundredth of the rate. A CQT grid of fewer than
-    2 bins, or a uniform grid too short for ``num_ceps``, is an error naming
-    the file, before any WAV is read.
+    effect, and ``hop`` to a hundredth of the rate. A front end that cannot
+    run (see :class:`~spoofmeter.features.FeatureConfig`, which checks it) is
+    an error naming the file, before any WAV is read.
     """
     doc = {}
     if path is not None:
@@ -121,15 +123,7 @@ def load_run_config(path=None):
     if isinstance(cqt, dict) and "f_max" in cqt:
         f_max = checked(cqt["f_max"], float, f"{where}: cqt: f_max")
         defaults["cqt"].update(f_max=f_max, f_min=f_max / 2.0 ** DEFAULT_OCTAVES)
-    features = from_doc(FeatureConfig, doc, where, defaults)
-    if features.cqt.n_bins < 2:
-        raise ConfigError(f"{where}: CQT grid of {features.cqt.n_bins} bin; "
-                          f"uniform resampling needs at least 2 bins")
-    grid, num_ceps = features.effective_grid_size, features.cqcc.num_ceps
-    if grid < num_ceps + 1:
-        raise ConfigError(f"{where}: uniform grid of {grid} points cannot "
-                          f"yield {num_ceps} cepstral coefficients")
-    return features, gmm
+    return from_doc(FeatureConfig, doc, where, defaults), gmm
 
 
 def parse_variant(token: str) -> dict:
@@ -194,16 +188,11 @@ def _cmd_eer(args) -> int:
         summary = attack_averaged_eer(read_score_file(args.scores))
     except (EmptyPopulationError, NoSpoofSystemsError) as exc:
         raise type(exc)(f"{args.scores}: {exc}") from exc
-    rows = []
-    total_spoof = 0
-    n_bona = 0
-    for system, result in summary.per_attack.items():
-        rows.append((system, result.eer_percent, result.threshold,
-                     result.n_bonafide, result.n_spoof))
-        total_spoof += result.n_spoof
-        n_bona = result.n_bonafide
-    rows.append((AVERAGE_ROW_ID, summary.average_percent, "-",
-                 n_bona, total_spoof))
+    rows = [(system, r.eer_percent, r.threshold, r.n_bonafide, r.n_spoof)
+            for system, r in summary.per_attack.items()]
+    # Every system shares the bona fide population; the spoof trials add up.
+    rows.append((AVERAGE_ROW_ID, summary.average_percent, "-", rows[-1][3],
+                 sum(row[4] for row in rows)))
     write_table(args.out, _EER_HEADER, rows, (
         f"tool: spoofmeter {__version__}",
         f"command: eer --scores {args.scores}",
@@ -290,20 +279,18 @@ def _cmd_grid(args) -> int:
             cqcc = replace(feature_config.cqcc, apply_cmvn=use_cmvn,
                            **variant_flags[variant])
             cell_config = replace(feature_config, cqcc=cqcc)
+            mode = "cmvn" if use_cmvn else "raw"
             for cell_gmm in cell_gmms:
                 n_components = cell_gmm.target_components
                 try:
                     model = train_detector(nat, artif, cell_config, cell_gmm)
-                    scores = score_batch(model, eval_manifest)
-                    summary = attack_averaged_eer(scores)
-                    value = summary.average_percent
+                    value = attack_averaged_eer(
+                        score_batch(model, eval_manifest)).average_percent
                 except (SpoofmeterError, OSError) as exc:
-                    print(f"grid cell ({variant}, "
-                          f"{'cmvn' if use_cmvn else 'raw'}, {n_components}) "
+                    print(f"grid cell ({variant}, {mode}, {n_components}) "
                           f"failed: {exc}", file=sys.stderr)
                     value = "failed"
-                rows.append((variant, "cmvn" if use_cmvn else "raw",
-                             n_components, value))
+                rows.append((variant, mode, n_components, value))
 
     write_table(args.out, ("variant", "cmvn", "gaussians", "eer_percent"),
                 rows, (

@@ -40,13 +40,14 @@ def checked(value, hint, where):
     return float(value) if hint is float else value
 
 
-def from_doc(cls, doc, where, defaults=None):
+def from_doc(cls, doc, where, defaults=None, **outside_doc):
     """Build ``cls`` from the JSON object ``doc``, checking every key and type.
 
     Missing keys take their value from ``defaults``, a full document of
-    ``cls``; without it every key is required. Unknown or missing keys, wrong
-    types and out-of-range values raise :class:`ConfigError` naming
-    ``where`` (a file, then the path of keys).
+    ``cls``; without it every key is required. ``outside_doc`` sets fields
+    the document leaves out, such as a model's pinned ``grid_size``. Unknown
+    or missing keys, wrong types and out-of-range values raise
+    :class:`ConfigError` naming ``where`` (a file, then the path of keys).
     """
     if not isinstance(doc, dict):
         raise ConfigError(f"{where} must be a JSON object, got {doc!r}")
@@ -67,6 +68,6 @@ def from_doc(cls, doc, where, defaults=None):
         else:
             values[name] = checked(value, hints[name], f"{where}: {name}")
     try:
-        return cls(**values)
+        return cls(**values, **outside_doc)
     except ConfigError as exc:
         raise ConfigError(f"{where}: {exc}") from exc

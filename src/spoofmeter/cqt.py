@@ -303,14 +303,14 @@ def cqt_spectrogram(signal: AudioSignal, config: CqtConfig) -> CqtSpectrogram:
             np.hypot(sums[:, 0::2], sums[:, 1::2],
                      out=magnitudes[t0:t1, plan.first:])
 
-    band = lengths >= _BAND_MIN_WINDOW
-    if band.any():
+    # Window lengths fall with k, so the band bins are 0 .. plan.first - 1.
+    if plan.first:
         # L covers the signal padded by half the longest window and 2 samples
         # each side, so no window wraps round onto the signal.
         padded_len = len(signal) + 2 * (longest // 2 + 2)
         n_fold = scipy.fft.next_fast_len(-(-padded_len // hop))
         spectrum = scipy.fft.fft(signal.samples, n_fold * hop)
-        for k in np.flatnonzero(band):
+        for k in range(plan.first):
             magnitudes[:, k] = _band_column(spectrum, n_fold, int(lengths[k]),
                                             freqs[k] / rate, n_frames)
 

@@ -19,7 +19,8 @@ import os
 from dataclasses import dataclass, field
 
 from . import __version__
-from .errors import BatchScoringError, DimMismatchError, EmptyManifestError
+from .errors import (BatchScoringError, DegenerateDataError,
+                     DimMismatchError, EmptyManifestError, TooFewFramesError)
 from .features import FeatureConfig, FeatureMatrix, features_for_file
 from .gmm import DiagGmm, GmmTrainConfig, avg_log_likelihood, train_gmm
 from .manifest import Manifest
@@ -83,7 +84,8 @@ def train_detector(nat_manifest: Manifest, artif_manifest: Manifest,
 
     Features are extracted per ``feature_config`` for every manifest row,
     pooled per class in manifest order, and one GMM is trained per class
-    with the identical schedule. The returned model is self-describing.
+    with the identical schedule. The returned model is self-describing. An
+    EM failure is raised again as its own type, naming class and manifest.
     """
     config = feature_config.pinned()
     cache_dir = os.environ.get(CACHE_ENV_VAR) or None
@@ -96,8 +98,15 @@ def train_detector(nat_manifest: Manifest, artif_manifest: Manifest,
     artif_frames = np.vstack(
         _for_each_file(artif_manifest, "artificial-speech", frames))
 
-    nat_gmm = train_gmm(nat_frames, gmm_config)
-    artif_gmm = train_gmm(artif_frames, gmm_config)
+    def fit(frames, manifest, name):
+        try:
+            return train_gmm(frames, gmm_config)
+        except (TooFewFramesError, DegenerateDataError) as exc:
+            where = f"{manifest.source_path}: " if manifest.source_path else ""
+            raise type(exc)(f"{where}{name} model: {exc}") from exc
+
+    nat_gmm = fit(nat_frames, nat_manifest, "natural-speech")
+    artif_gmm = fit(artif_frames, artif_manifest, "artificial-speech")
 
     metadata = {
         "tool": f"spoofmeter {__version__}",

@@ -85,6 +85,9 @@ class ManifestParseError(DataError):
         self.reason = reason
         self.path = path
 
+    def __reduce__(self):  # pickle rebuilds from the arguments, not the message
+        return type(self), (self.line, self.reason, self.path)
+
 
 class BatchScoringError(DataError):
     """One or more files of a training or scoring manifest failed.
@@ -97,6 +100,9 @@ class BatchScoringError(DataError):
         lines = "; ".join(f"{u} ({p}): {e}" for u, p, e in failures)
         super().__init__(f"{len(failures)} file(s) failed: {lines}")
         self.failures = list(failures)
+
+    def __reduce__(self):
+        return type(self), (self.failures,)
 
 
 class EmptyPopulationError(DataError):

@@ -19,7 +19,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -220,6 +220,12 @@ class FeatureConfig:
     derived from the CQT geometry and the resampling period. Models store the
     pinned value, in a section of their own, so training and scoring always
     agree.
+
+    A config constructs only if its front end can run; else it raises
+    :class:`ConfigError`. Its rules: at least 2 CQT bins for the spline, an
+    effective grid (pinned or derived) of at least ``num_ceps + 1`` points
+    for the DCT, and ``f_max`` within Nyquist, which no ``sample_rate`` of 0
+    or less has.
     """
 
     sample_rate: int
@@ -228,10 +234,13 @@ class FeatureConfig:
     grid_size: int | None = field(default=None, metadata={"doc": False})
 
     def __post_init__(self):
-        if self.sample_rate <= 0:
-            raise ConfigError("sample_rate must be positive")
-        if self.grid_size is not None and self.grid_size < 2:
-            raise ConfigError("grid must have at least 2 points")
+        if self.cqt.n_bins < 2:
+            raise ConfigError("CQT grid of 1 bin; uniform resampling needs "
+                              "at least 2 bins")
+        grid, num_ceps = self.effective_grid_size, self.cqcc.num_ceps
+        if grid < num_ceps + 1:
+            raise ConfigError(f"uniform grid of {grid} points cannot yield "
+                              f"{num_ceps} cepstral coefficients")
         if self.cqt.f_max > self.sample_rate / 2.0 + 1e-9:
             raise ConfigError(
                 f"cqt f_max={self.cqt.f_max} exceeds Nyquist for "
@@ -249,19 +258,13 @@ class FeatureConfig:
 
     def pinned(self) -> "FeatureConfig":
         """Copy with the grid size made explicit."""
-        if self.grid_size is not None:
-            return self
-        return FeatureConfig(self.sample_rate, self.cqt, self.cqcc,
-                             grid_size=self.effective_grid_size)
+        return replace(self, grid_size=self.effective_grid_size)
 
 
 def default_feature_config(sample_rate: int = DEFAULT_SAMPLE_RATE) -> FeatureConfig:
     """Delta+double-delta CQCCs at 16 kHz: the package-wide default setup."""
-    return FeatureConfig(
-        sample_rate=sample_rate,
-        cqt=default_cqt_config(sample_rate),
-        cqcc=CqccConfig(),
-    )
+    return FeatureConfig(sample_rate, default_cqt_config(sample_rate),
+                         CqccConfig())
 
 
 def extract_features(config: FeatureConfig, signal: AudioSignal,

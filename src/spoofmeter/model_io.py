@@ -14,7 +14,6 @@ from __future__ import annotations
 import base64
 import json
 import math
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -43,17 +42,16 @@ def save_model(model: DetectorModel, path) -> None:
     given for a bool field, raises :class:`ConfigError`, and metadata that is
     not an object of strings :class:`SchemaError`; either writes nothing.
     """
-    config_doc = to_doc(model.feature_config)
-    from_doc(FeatureConfig, config_doc, f"{path}: feature_config")
+    config = model.feature_config
+    config_doc = to_doc(config)
+    from_doc(FeatureConfig, config_doc, f"{path}: feature_config",
+             grid_size=config.grid_size)
     _check_metadata(model.metadata, f"{path}: metadata")
     doc = {
         "format_version": MODEL_FORMAT_VERSION,
         "feature_config": config_doc,
-        "grid": {
-            "size": model.feature_config.effective_grid_size,
-            "f_min": model.feature_config.cqt.f_min,
-            "f_max": model.feature_config.cqt.f_max,
-        },
+        "grid": {"size": config.effective_grid_size,
+                 "f_min": config.cqt.f_min, "f_max": config.cqt.f_max},
         "nat_gmm": _gmm_doc(model.nat),
         "artif_gmm": _gmm_doc(model.artif),
         "metadata": dict(model.metadata),
@@ -70,7 +68,7 @@ def load_model(path) -> DetectorModel:
     :class:`SchemaError` naming ``path`` for anything structurally wrong
     (not UTF-8, truncation, missing or unknown keys, values of the wrong type
     or range, malformed arrays, a feature config the GMMs or the grid
-    disagree with).
+    disagree with, a feature config whose front end cannot run).
     """
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -99,9 +97,8 @@ def _model_from_doc(doc) -> DetectorModel:
             f"format_version {version}, this build reads {_READ_VERSIONS}")
     _check_keys(doc, _DOC_KEYS, "model document")
     grid = _check_keys(doc["grid"], _GRID_KEYS, "grid")
-    config = replace(
-        from_doc(FeatureConfig, doc["feature_config"], "feature_config"),
-        grid_size=checked(grid["size"], int, "grid: size"))
+    config = from_doc(FeatureConfig, doc["feature_config"], "feature_config",
+                      grid_size=checked(grid["size"], int, "grid: size"))
     for key in ("f_min", "f_max"):
         expected = getattr(config.cqt, key)
         if checked(grid[key], float, f"grid: {key}") != expected:

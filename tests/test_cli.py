@@ -385,6 +385,19 @@ class TestErrorHandling:
         assert "--gaussians" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_too_few_frames_exits_3_naming_class_and_manifest(
+            self, workspace, tmp_path, capsys):
+        # Three 0.25 s files give about 75 frames, too few for 256 components.
+        out = tmp_path / "model.json"
+        rc = main(["train", "--nat", str(workspace["nat"]),
+                   "--artif", str(workspace["artif"]), "--gaussians", "256",
+                   "--config", str(workspace["config"]), "--out", str(out)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert f"{workspace['nat']}: natural-speech model: " in err
+        assert "cannot support 256 components" in err
+        assert not out.exists()
+
     def test_bad_config_exits_2(self, workspace, tmp_path):
         config = tmp_path / "bad.json"
         config.write_text('{"gmm": {"target_components": 3}}')

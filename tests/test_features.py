@@ -5,6 +5,7 @@ from helpers import RATE, SMALL_CQT, noise_signal
 from spoofmeter import (
     AudioSignal,
     CqccConfig,
+    CqtConfig,
     FeatureConfig,
     FeatureMatrix,
     append_deltas,
@@ -289,6 +290,24 @@ class TestConfigValidation:
     def test_no_blocks_rejected(self):
         with pytest.raises(ConfigError):
             CqccConfig(use_static=False, use_delta=False, use_delta2=False)
+
+    @pytest.mark.parametrize("cqt, cqcc, grid_size, message", [
+        (CqtConfig(1, 5000.0, 8000.0, 160), CqccConfig(num_ceps=1), None,
+         "CQT grid of 1 bin"),
+        # One grid point per bin: 4 octaves of 12 bins derive 8 points.
+        (SMALL_CQT, CqccConfig(resample_period=1), None,
+         "uniform grid of 8 points cannot yield 29"),
+        (SMALL_CQT, CqccConfig(), 8, "uniform grid of 8 points cannot yield 29"),
+        (SMALL_CQT, CqccConfig(num_ceps=1), 1, "uniform grid of 1 points"),
+    ], ids=["one-bin", "derived-grid", "pinned-grid", "one-point"])
+    def test_front_end_that_cannot_run_is_refused(self, cqt, cqcc, grid_size,
+                                                  message):
+        with pytest.raises(ConfigError, match=message):
+            FeatureConfig(RATE, cqt, cqcc, grid_size=grid_size)
+
+    def test_non_positive_rate_fails_the_nyquist_rule(self):
+        with pytest.raises(ConfigError, match="exceeds Nyquist for 0 Hz"):
+            FeatureConfig(0, SMALL_CQT, CqccConfig())
 
     def test_output_dim_property(self):
         config = CqccConfig(num_ceps=29, include_zeroth=True, use_static=True,

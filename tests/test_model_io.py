@@ -1,11 +1,14 @@
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from helpers import make_wav_corpus, resonant_noise, small_feature_config
 from spoofmeter import (
+    DetectorModel,
+    DiagGmm,
     FeatureMatrix,
     GmmTrainConfig,
     llr_score,
@@ -113,6 +116,41 @@ def test_grid_of_fewer_than_two_points_names_file(model, tmp_path, size):
     path.write_text(json.dumps(doc))
     with pytest.raises(SchemaError, match=re.escape(str(path))):
         load_model(path)
+
+
+@pytest.mark.parametrize("edits, message", [
+    # 5 to 8 kHz at 1 bin per octave: nothing for the spline to resample.
+    ({("feature_config", "cqt", "bins_per_octave"): 1,
+      ("feature_config", "cqt", "f_min"): 5000.0,
+      ("feature_config", "cqt", "f_max"): 8000.0,
+      ("grid", "f_min"): 5000.0, ("grid", "f_max"): 8000.0},
+     "CQT grid of 1 bin"),
+    ({("feature_config", "cqcc", "num_ceps"): 29, ("grid", "size"): 8},
+     "uniform grid of 8 points cannot yield 29 cepstral coefficients"),
+], ids=["cqt-bins", "grid-points"])
+def test_front_end_that_cannot_run_names_file(model, tmp_path, edits,
+                                              message):
+    path = tmp_path / "m.json"
+    doc = _saved_doc(model, path)
+    for keys, value in edits.items():
+        _set(doc, keys, value)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError, match=re.escape(f"{path}: ")
+                       + ".*" + re.escape(message)):
+        load_model(path)
+
+
+def test_pinned_grid_is_checked_not_the_derived_one(model, tmp_path):
+    # One grid point per bin derives 8 points, too few for 29 coefficients;
+    # the pinned 64 are enough, so the model saves and loads.
+    config = replace(model.feature_config, grid_size=64,
+                     cqcc=replace(model.feature_config.cqcc, num_ceps=29,
+                                  resample_period=1))
+    dim = config.output_dim
+    gmm = DiagGmm(np.ones(1), np.zeros((1, dim)), np.ones((1, dim)))
+    path = tmp_path / "m.json"
+    save_model(DetectorModel(gmm, gmm, config), path)
+    assert load_model(path).feature_config == config
 
 
 def test_grid_descriptor_restored(model, tmp_path):

@@ -4,12 +4,13 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from helpers import small_feature_config
 from spoofmeter import (
+    AudioSignal,
     CqccConfig,
     CqtConfig,
     DetectorModel,
@@ -20,8 +21,11 @@ from spoofmeter import (
     load_model,
     save_model,
 )
+from spoofmeter.errors import ConfigError
 from spoofmeter.features import (
     FeatureConfig,
+    default_grid_size,
+    extract_features,
     read_feature_cache,
     write_feature_cache,
 )
@@ -44,22 +48,30 @@ def _number(lo, hi):
                      st.floats(lo, hi, allow_nan=False))
 
 
+def _cqcc(draw, num_ceps, resample_period):
+    blocks = draw(st.lists(st.booleans(), min_size=3, max_size=3)
+                  .filter(any))
+    return CqccConfig(num_ceps=num_ceps, include_zeroth=draw(st.booleans()),
+                      use_static=blocks[0], use_delta=blocks[1],
+                      use_delta2=blocks[2], apply_cmvn=draw(st.booleans()),
+                      resample_period=resample_period)
+
+
 @st.composite
 def feature_configs(draw):
+    """Usable front ends only: at least 2 CQT bins, and a grid of at least
+    ``num_ceps + 1`` points, as :class:`FeatureConfig` requires."""
     rate = draw(st.sampled_from([8000, 16000, 22050, 44100]))
     f_max = draw(_number(rate / 8.0, rate / 2.0))
     f_min = draw(_number(20.0, f_max / 2.0))
     cqt = CqtConfig(draw(st.integers(1, 48)), f_min, f_max,
                     draw(st.integers(1, 1000)))
-    blocks = draw(st.lists(st.booleans(), min_size=3, max_size=3)
-                  .filter(any))
-    cqcc = CqccConfig(num_ceps=draw(st.integers(1, 40)),
-                      include_zeroth=draw(st.booleans()),
-                      use_static=blocks[0], use_delta=blocks[1],
-                      use_delta2=blocks[2],
-                      apply_cmvn=draw(st.booleans()),
-                      resample_period=draw(st.integers(1, 32)))
+    # One bin only at 1 bin per octave over exactly one octave.
+    assume(cqt.n_bins >= 2)
+    period = draw(st.integers(1, 32))
     grid_size = draw(st.one_of(st.none(), st.integers(2, 512)))
+    grid = grid_size or default_grid_size(cqt.center_freqs, period)
+    cqcc = _cqcc(draw, draw(st.integers(1, min(40, grid - 1))), period)
     return FeatureConfig(rate, cqt, cqcc, grid_size=grid_size)
 
 
@@ -87,6 +99,58 @@ def test_save_load_save_is_byte_identical(scratch, config, seed, n_components,
     save_model(loaded, second)
     assert first.read_bytes() == second.read_bytes()
     assert loaded.feature_config == config.pinned()
+
+
+# --- front ends ------------------------------------------------------------
+
+# Bounds that keep one example within about 50 MB and the test within
+# seconds: the signal is the bin-0 window, at most this many samples long,
+# no per-frame stage holds more than _MAX_CELLS floats, and a hop of at
+# least 32 samples keeps the direct form's block products few.
+_MAX_WINDOW = 16000
+_MAX_CELLS = 2_000_000
+
+
+@st.composite
+def front_end_parts(draw):
+    """Arguments of :class:`FeatureConfig`, usable or not: grids of one bin
+    and grids shorter than the cepstral order are drawn too."""
+    rate = draw(st.sampled_from([8000, 16000, 22050, 44100]))
+    bins_per_octave = draw(st.integers(1, 48))
+    q_factor = 1.0 / (2.0 ** (1.0 / bins_per_octave) - 1.0)
+    f_max = draw(_number(rate / 8.0, rate / 2.0))
+    lowest = max(20.0, q_factor * rate / (_MAX_WINDOW - 1))
+    assume(lowest < 0.99 * f_max)
+    f_min = draw(_number(lowest, 0.99 * f_max))
+    cqt = CqtConfig(bins_per_octave, f_min, f_max, draw(st.integers(32, 1000)))
+    assume(cqt.window_lengths(rate)[0] <= _MAX_WINDOW)
+    cqcc = _cqcc(draw, draw(st.integers(1, 40)), draw(st.integers(1, 32)))
+    grid_size = draw(st.one_of(st.none(), st.integers(1, 512)))
+    return rate, cqt, cqcc, grid_size
+
+
+@PROPERTY_SETTINGS
+@given(parts=front_end_parts(), seed=st.integers(0, 2**32 - 1))
+# 5 to 8 kHz at 1 bin per octave: a CQT grid of 1 bin.
+@example(parts=(16000, CqtConfig(1, 5000.0, 8000.0, 160),
+                CqccConfig(num_ceps=1), None), seed=0)
+# 4 octaves at 12 bins and one grid point per bin: 8 points for 29 ceps.
+@example(parts=(16000, CqtConfig(12, 500.0, 8000.0, 160),
+                CqccConfig(resample_period=1), None), seed=0)
+def test_every_config_that_constructs_extracts_finite_features(parts, seed):
+    try:
+        config = FeatureConfig(*parts)
+    except ConfigError:
+        return
+    n_samples = int(config.cqt.window_lengths(config.sample_rate)[0])
+    n_frames = (n_samples - 1) // config.cqt.hop + 1
+    assume(n_frames * max(config.cqt.n_bins, config.effective_grid_size)
+           <= _MAX_CELLS)
+    rng = np.random.default_rng(seed)
+    signal = AudioSignal(rng.uniform(-0.5, 0.5, n_samples), config.sample_rate)
+    feats = extract_features(config, signal)
+    assert feats.frames.shape == (n_frames, config.output_dim)
+    assert np.all(np.isfinite(feats.frames))
 
 
 _FINFO = np.finfo(np.float64)
