@@ -23,12 +23,14 @@ from .features import (
     FeatureConfig,
     FeatureMatrix,
     append_deltas,
+    assemble_features,
     cmvn,
     dct_truncate,
     default_feature_config,
     extract_features,
     log_power,
     read_feature_cache,
+    static_cepstra,
     uniform_resample,
     write_feature_cache,
 )
@@ -36,6 +38,7 @@ from .gmm import (
     DiagGmm,
     GmmTrainConfig,
     avg_log_likelihood,
+    gmm_stages,
     train_gmm,
 )
 from .manifest import Manifest, ManifestEntry, parse_manifest
@@ -60,8 +63,10 @@ __all__ = [
     "CqtConfig", "CqtSpectrogram", "cqt_spectrogram", "default_cqt_config",
     "CqccConfig", "FeatureConfig", "default_feature_config", "FeatureMatrix",
     "log_power", "uniform_resample", "dct_truncate", "append_deltas", "cmvn",
-    "extract_features", "read_feature_cache", "write_feature_cache",
-    "DiagGmm", "GmmTrainConfig", "train_gmm", "avg_log_likelihood",
+    "static_cepstra", "assemble_features", "extract_features",
+    "read_feature_cache", "write_feature_cache",
+    "DiagGmm", "GmmTrainConfig", "gmm_stages", "train_gmm",
+    "avg_log_likelihood",
     "DetectorModel", "train_detector", "llr_score", "score_batch",
     "write_score_file", "read_score_file",
     "Manifest", "ManifestEntry", "parse_manifest",

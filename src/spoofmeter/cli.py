@@ -28,6 +28,14 @@ name the file. So is a front end that cannot run, which
 and ``use_*``) by ``--variants`` and its ``apply_cmvn`` by ``--cmvn``:
 ``"apply_cmvn": true`` still runs raw cells.
 
+``grid`` does each expensive step once per run. Every WAV's static cepstra
+(:func:`~spoofmeter.features.static_cepstra`) are computed once and kept in
+memory for the whole run: ``num_ceps + 1`` float64 per frame, about 24 KB
+per audio second at the defaults. Per front-end config, each class's
+frames are pooled once and trained once, up to the largest Gaussian count
+they support, and each eval file is scored by every count in one pass. A
+cell still fails alone, with the message its own ``train`` would print.
+
 Exit codes: 0 success, 1 usage error, 2 data/validation error, 3 numerical
 failure.
 """
@@ -37,6 +45,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -44,9 +53,13 @@ from . import __version__
 from .config import checked, from_doc, to_doc
 from .cqt import DEFAULT_OCTAVES, DEFAULT_SAMPLE_RATE
 from .detector import (
+    DetectorModel,
     check_not_empty,
+    class_models,
+    pooled_frames,
     read_score_file,
     score_batch,
+    score_batches,
     train_detector,
     write_score_file,
 )
@@ -218,7 +231,13 @@ def _cmd_report(args) -> int:
     for system, eer in eer_rows:
         if system == AVERAGE_ROW_ID:
             continue
-        row = [system, eer, machine_opinion_score(eer)]
+        # Above 50 % the score is clamped with a warning; say it as ours.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            row = [system, eer, machine_opinion_score(eer)]
+        for warning in caught:
+            print(f"spoofmeter: {args.eer}: system {system}: "
+                  f"{warning.message}", file=sys.stderr)
         if mos_map is not None:
             row.append(mos_map.get(system, "-"))
         rows.append(row)
@@ -230,6 +249,46 @@ def _cmd_report(args) -> int:
     ))
     print(f"report for {len(rows)} system(s) -> {args.out}")
     return 0
+
+
+def _grid_cells(nat, artif, eval_manifest, config, gmm_config, counts,
+                static_memo) -> dict:
+    """Attack-averaged EER, or the error that fails the cell, per count.
+
+    One front-end config's row of the grid. Each class's frames are pooled
+    once and trained once, up to the largest count they support, and each
+    eval file is scored by every count's detector in one pass. A cell fails
+    with the error its own ``train_detector`` and ``score_batch`` would
+    raise.
+    """
+    try:
+        nat_frames = pooled_frames(nat, "natural-speech", config, static_memo)
+        artif_frames = pooled_frames(artif, "artificial-speech", config,
+                                     static_memo)
+    except SpoofmeterError as exc:
+        return dict.fromkeys(counts, exc)
+    cells = class_models(nat_frames, nat, "natural-speech", gmm_config, counts)
+    trained = [c for c in counts if not isinstance(cells[c], Exception)]
+    artif_gmms = class_models(artif_frames, artif, "artificial-speech",
+                              gmm_config, trained)
+    detectors = {}
+    for count in trained:
+        if isinstance(artif_gmms[count], Exception):
+            cells[count] = artif_gmms[count]
+        else:
+            detectors[count] = DetectorModel(cells[count], artif_gmms[count],
+                                             config)
+    if not detectors:
+        return cells
+    try:
+        score_sets = score_batches(list(detectors.values()), eval_manifest,
+                                   static_memo)
+    except SpoofmeterError as exc:
+        return {**cells, **dict.fromkeys(detectors, exc)}
+    # No EER error is left: _cmd_grid checked both eval populations.
+    for count, scores in zip(detectors, score_sets):
+        cells[count] = attack_averaged_eer(scores).average_percent
+    return cells
 
 
 def _cmd_grid(args) -> int:
@@ -273,22 +332,22 @@ def _cmd_grid(args) -> int:
         raise NoSpoofSystemsError(
             f"{args.eval}: evaluation manifest has no spoof rows")
 
+    counts = [g.target_components for g in cell_gmms]
+    static_memo = {}
     rows = []
     for variant in variants:
         for use_cmvn in cmvn_settings:
             cqcc = replace(feature_config.cqcc, apply_cmvn=use_cmvn,
                            **variant_flags[variant])
-            cell_config = replace(feature_config, cqcc=cqcc)
+            config = replace(feature_config, cqcc=cqcc).pinned()
             mode = "cmvn" if use_cmvn else "raw"
-            for cell_gmm in cell_gmms:
-                n_components = cell_gmm.target_components
-                try:
-                    model = train_detector(nat, artif, cell_config, cell_gmm)
-                    value = attack_averaged_eer(
-                        score_batch(model, eval_manifest)).average_percent
-                except (SpoofmeterError, OSError) as exc:
+            cells = _grid_cells(nat, artif, eval_manifest, config, gmm_config,
+                                counts, static_memo)
+            for n_components in counts:
+                value = cells[n_components]
+                if isinstance(value, Exception):
                     print(f"grid cell ({variant}, {mode}, {n_components}) "
-                          f"failed: {exc}", file=sys.stderr)
+                          f"failed: {value}", file=sys.stderr)
                     value = "failed"
                 rows.append((variant, mode, n_components, value))
 

@@ -16,13 +16,15 @@ the feature cache in ``$SPOOFMETER_CACHE_DIR`` when that is set.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass, field, replace
 
 from . import __version__
 from .errors import (BatchScoringError, DegenerateDataError,
                      DimMismatchError, EmptyManifestError, TooFewFramesError)
 from .features import FeatureConfig, FeatureMatrix, features_for_file
-from .gmm import DiagGmm, GmmTrainConfig, avg_log_likelihood, train_gmm
+from .gmm import (DiagGmm, GmmTrainConfig, avg_log_likelihood, gmm_stages,
+                  train_gmm)
 from .manifest import Manifest
 from .metrics import ScoreRecord, ScoreSet
 from .tables import read_table, write_table
@@ -77,6 +79,57 @@ def _for_each_file(manifest: Manifest, name: str, per_file) -> list:
     return results
 
 
+def pooled_frames(manifest: Manifest, name: str, config: FeatureConfig,
+                  static_memo: dict | None = None) -> np.ndarray:
+    """Every row's features stacked in manifest order: one class's frames.
+
+    ``static_memo`` is passed on to
+    :func:`~spoofmeter.features.features_for_file`.
+    """
+    cache_dir = os.environ.get(CACHE_ENV_VAR) or None
+
+    def frames(entry):
+        return features_for_file(config, entry.path, entry.utt_id, cache_dir,
+                                 static_memo).frames
+
+    return np.vstack(_for_each_file(manifest, name, frames))
+
+
+@contextmanager
+def _class_errors(manifest: Manifest, name: str):
+    # An EM failure is raised again as its own type, naming class and manifest.
+    try:
+        yield
+    except (TooFewFramesError, DegenerateDataError) as exc:
+        where = f"{manifest.source_path}: " if manifest.source_path else ""
+        raise type(exc)(f"{where}{name} model: {exc}") from exc
+
+
+def class_models(frames, manifest: Manifest, name: str,
+                 gmm_config: GmmTrainConfig, counts) -> dict:
+    """One class's model at each of ``counts``, from one EM run.
+
+    The run goes up to the largest count the frames support, and each
+    smaller count takes its stage model. Maps every count to the
+    :class:`DiagGmm` that :func:`train_detector` would train for it, or to
+    the error, named as there, that training to it raises.
+    """
+    models, stages = {}, None
+    for count in sorted(counts, reverse=True):
+        try:
+            with _class_errors(manifest, name):
+                if stages is None:
+                    config = replace(gmm_config, target_components=count)
+                    stages = {gmm.n_components: gmm
+                              for gmm, _ in gmm_stages(frames, config)
+                              if gmm.n_components in counts}
+        except (TooFewFramesError, DegenerateDataError) as exc:
+            models[count] = exc
+        else:
+            models[count] = stages[count]
+    return models
+
+
 def train_detector(nat_manifest: Manifest, artif_manifest: Manifest,
                    feature_config: FeatureConfig,
                    gmm_config: GmmTrainConfig) -> DetectorModel:
@@ -88,25 +141,13 @@ def train_detector(nat_manifest: Manifest, artif_manifest: Manifest,
     EM failure is raised again as its own type, naming class and manifest.
     """
     config = feature_config.pinned()
-    cache_dir = os.environ.get(CACHE_ENV_VAR) or None
+    nat_frames = pooled_frames(nat_manifest, "natural-speech", config)
+    artif_frames = pooled_frames(artif_manifest, "artificial-speech", config)
 
-    def frames(entry):
-        return features_for_file(config, entry.path, entry.utt_id,
-                                 cache_dir).frames
-
-    nat_frames = np.vstack(_for_each_file(nat_manifest, "natural-speech", frames))
-    artif_frames = np.vstack(
-        _for_each_file(artif_manifest, "artificial-speech", frames))
-
-    def fit(frames, manifest, name):
-        try:
-            return train_gmm(frames, gmm_config)
-        except (TooFewFramesError, DegenerateDataError) as exc:
-            where = f"{manifest.source_path}: " if manifest.source_path else ""
-            raise type(exc)(f"{where}{name} model: {exc}") from exc
-
-    nat_gmm = fit(nat_frames, nat_manifest, "natural-speech")
-    artif_gmm = fit(artif_frames, artif_manifest, "artificial-speech")
+    with _class_errors(nat_manifest, "natural-speech"):
+        nat_gmm = train_gmm(nat_frames, gmm_config)
+    with _class_errors(artif_manifest, "artificial-speech"):
+        artif_gmm = train_gmm(artif_frames, gmm_config)
 
     metadata = {
         "tool": f"spoofmeter {__version__}",
@@ -141,15 +182,28 @@ def score_batch(model: DetectorModel, eval_manifest: Manifest) -> ScoreSet:
     Per-file failures are collected and the whole batch fails with one
     :class:`BatchScoringError` if any file fails.
     """
+    return score_batches([model], eval_manifest)[0]
+
+
+def score_batches(models, eval_manifest: Manifest,
+                  static_memo: dict | None = None) -> list:
+    """:func:`score_batch` of each of ``models``, which share one feature config.
+
+    Each file's features are extracted once and scored by every model
+    before the next file is read. ``static_memo`` is passed on to
+    :func:`~spoofmeter.features.features_for_file`.
+    """
+    config = models[0].feature_config
     cache_dir = os.environ.get(CACHE_ENV_VAR) or None
 
-    def record(entry):
-        feats = features_for_file(model.feature_config, entry.path,
-                                  entry.utt_id, cache_dir)
-        return ScoreRecord(entry.utt_id, entry.label, entry.system_id,
-                           llr_score(model, feats))
+    def records(entry):
+        feats = features_for_file(config, entry.path, entry.utt_id, cache_dir,
+                                  static_memo)
+        return [ScoreRecord(entry.utt_id, entry.label, entry.system_id,
+                            llr_score(model, feats)) for model in models]
 
-    return ScoreSet(tuple(_for_each_file(eval_manifest, "evaluation", record)))
+    rows = _for_each_file(eval_manifest, "evaluation", records)
+    return [ScoreSet(tuple(row[i] for row in rows)) for i in range(len(models))]
 
 
 SCORE_COLUMNS = ("utt_id", "label", "system_id", "llr")

@@ -8,7 +8,8 @@ mean convergence: both halves of a split start on all of the data. Variances
 are floored at ``_VARIANCE_FLOOR_FACTOR`` times the global per-dimension
 variance. The schedule draws no random numbers and does not depend on the
 data, so the C-component stage model of every run that reaches C components
-is the same.
+is the same; :func:`gmm_stages` yields each one, so one run serves every
+smaller count.
 
 Scoring and the E-step share one fused kernel, the standard GMM-UBM form
 (Reynolds et al., 2000). Expanding the quadratic, component c's joint
@@ -119,10 +120,26 @@ class DiagGmm:
 def train_gmm(frames, config: GmmTrainConfig, return_history: bool = False):
     """Fit a diagonal GMM to pooled frames by the module's binary-splitting EM.
 
-    With ``return_history`` the per-stage traces of average per-frame
-    log-likelihood (``em_iters_per_stage`` values per stage, each evaluated at
-    its iteration's starting parameters) are returned alongside the model.
-    The design matrix ``[x², x]`` holds ``2·n·D`` float64 while the call runs.
+    The last model of :func:`gmm_stages`. With ``return_history`` the
+    per-split-stage traces of average per-frame log-likelihood
+    (``em_iters_per_stage`` values per stage, each evaluated at its
+    iteration's starting parameters) are returned alongside the model.
+    """
+    history = []
+    for gmm, trace in gmm_stages(frames, config):
+        history.append(trace)
+    return (gmm, history[1:]) if return_history else gmm
+
+
+def gmm_stages(frames, config: GmmTrainConfig):
+    """Yield ``(model, trace)`` at each stage of the binary-splitting schedule.
+
+    First the 1-component start, with an empty trace, then the model after
+    each split stage's EM iterations, up to ``config.target_components``.
+    Nothing else enters a stage, so the C-component model is the same for
+    every target of at least C. The frames are checked at the first
+    ``next``. The design matrix ``[x², x]`` holds ``2·n·D`` float64 while
+    the generator runs.
     """
     frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim != 2:
@@ -143,8 +160,8 @@ def train_gmm(frames, config: GmmTrainConfig, return_history: bool = False):
 
     gmm = DiagGmm(weights=np.array([1.0]), means=global_mean[None, :].copy(),
                   variances=np.maximum(global_var, floor)[None, :])
+    yield gmm, []
     xx = _design(frames)
-    history = []
     while gmm.n_components < config.target_components:
         gmm = _split(gmm)
         stage_trace = []
@@ -152,9 +169,7 @@ def train_gmm(frames, config: GmmTrainConfig, return_history: bool = False):
             avg_ll, counts, sums = _accumulate(xx, gmm)
             stage_trace.append(avg_ll)
             gmm = _maximize(counts, sums, gmm, floor, n_frames)
-        history.append(stage_trace)
-
-    return (gmm, history) if return_history else gmm
+        yield gmm, stage_trace
 
 
 def _split(gmm):

@@ -2,6 +2,7 @@ import json
 import re
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,8 +13,15 @@ from helpers import (
     make_wav_corpus,
     mulaw_distort,
     resonant_noise,
+    tone,
 )
-from spoofmeter import cli, features
+from spoofmeter import (
+    attack_averaged_eer,
+    cli,
+    features,
+    score_batch,
+    train_detector,
+)
 from spoofmeter.cli import main, parse_variant
 from spoofmeter.detector import CACHE_ENV_VAR
 from spoofmeter.errors import (
@@ -22,6 +30,7 @@ from spoofmeter.errors import (
     EmptyManifestError,
     EmptyPopulationError,
     NoSpoofSystemsError,
+    SpoofmeterError,
 )
 from spoofmeter.manifest import MANIFEST_COLUMNS, parse_manifest
 from spoofmeter.tables import write_table
@@ -167,6 +176,20 @@ class TestReport:
         assert float(mos["B01"]) == 4.5
         assert float(mos["N10"]) == 4.0
 
+    def test_eer_above_chance_warns_naming_table_and_system(
+            self, eer_table, tmp_path, capsys):
+        above = tmp_path / "above.tsv"
+        above.write_text(eer_table.read_text().replace(
+            "N10\t2.49", "N10\t66.67"))
+        out = tmp_path / "report.tsv"
+        assert main(["report", "--eer", str(above), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == (
+            f"spoofmeter: {above}: system N10: EER of 66.67% is above chance "
+            f"level; this usually indicates an implementation problem in "
+            f"the detector\n")
+        _, rows = _data_rows(out)
+        assert rows[1] == ["N10", "66.67", "5.0"]
+
 
 class TestGrid:
     def test_grid_cardinality_and_determinism(self, workspace):
@@ -223,6 +246,169 @@ class TestGrid:
             parse_variant("z+static")
         with pytest.raises(ConfigError):
             parse_variant("z")
+
+
+def _grid_cell_oracle(manifests, config_path, variant, use_cmvn, count):
+    """One grid cell as its own train_detector + score_batch + EER: the EER,
+    or the stderr line of the failed cell."""
+    feature_config, gmm_config = cli.load_run_config(config_path)
+    cqcc = replace(feature_config.cqcc, apply_cmvn=use_cmvn,
+                   **parse_variant(variant))
+    nat, artif, evals = (parse_manifest(manifests[name])
+                         for name in ("nat", "artif", "eval"))
+    try:
+        model = train_detector(nat, artif,
+                               replace(feature_config, cqcc=cqcc),
+                               replace(gmm_config, target_components=count))
+        return attack_averaged_eer(score_batch(model, evals)).average_percent
+    except SpoofmeterError as exc:
+        mode = "cmvn" if use_cmvn else "raw"
+        return f"grid cell ({variant}, {mode}, {count}) failed: {exc}"
+
+
+def _check_grid_against_cells(manifests, config_path, variants, gaussians,
+                              cmvn, out, capsys):
+    """Run ``grid`` and compare every row and stderr line with the oracle.
+
+    Returns the stderr lines.
+    """
+    capsys.readouterr()
+    assert main(["grid", "--nat", str(manifests["nat"]),
+                 "--artif", str(manifests["artif"]),
+                 "--eval", str(manifests["eval"]),
+                 "--variants", ",".join(variants),
+                 "--gaussians", ",".join(map(str, gaussians)),
+                 "--cmvn", cmvn, "--config", str(config_path),
+                 "--out", str(out)]) == 0
+    errors = capsys.readouterr().err.splitlines()
+    _, rows = _data_rows(out)
+    modes = {"raw": [False], "cmvn": [True], "both": [False, True]}[cmvn]
+    cells = [(v, m, c) for v in variants for m in modes for c in gaussians]
+    assert [tuple(r[:3]) for r in rows] == [
+        (v, "cmvn" if m else "raw", str(c)) for v, m, c in cells]
+    # Unset while the oracle runs, so it extracts every cell afresh.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv(CACHE_ENV_VAR, raising=False)
+        expected = [_grid_cell_oracle(manifests, config_path, *cell)
+                    for cell in cells]
+    assert [r[3] for r in rows] == [
+        "failed" if isinstance(e, str) else repr(e) for e in expected]
+    assert errors == [e for e in expected if isinstance(e, str)]
+    return errors
+
+
+class TestGridSharesWork:
+    """``grid`` extracts each WAV's static cepstra once and trains each class
+    once per front-end config, and still gives each cell's own result."""
+
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_matches_per_cell_training_and_scoring(
+            self, workspace, tmp_path, monkeypatch, capsys, cached):
+        if cached:
+            monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path / "cache"))
+        else:
+            monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+        errors = _check_grid_against_cells(
+            workspace, workspace["config"],
+            ["delta+delta2", "z+stat+delta+delta2"], [1, 2, 4], "both",
+            tmp_path / "grid.tsv", capsys)
+        assert errors == []
+
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_cqt_runs_once_per_distinct_wav(self, workspace, tmp_path,
+                                            monkeypatch, cached):
+        if cached:
+            monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path / "cache"))
+        else:
+            monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+        calls = []
+        real = features.cqt_spectrogram
+
+        def counting(signal, config):
+            calls.append(signal.samples.tobytes())
+            return real(signal, config)
+
+        monkeypatch.setattr(features, "cqt_spectrogram", counting)
+        assert main(["grid", "--nat", str(workspace["nat"]),
+                     "--artif", str(workspace["artif"]),
+                     "--eval", str(workspace["eval"]),
+                     "--variants", "delta+delta2,z+stat+delta+delta2",
+                     "--gaussians", "1,2,4", "--cmvn", "both",
+                     "--config", str(workspace["config"]),
+                     "--out", str(tmp_path / "grid.tsv")]) == 0
+        n_wavs = sum(len(_data_rows(workspace[m])[1])
+                     for m in ("nat", "artif", "eval"))
+        assert len(calls) == n_wavs
+        assert len(set(calls)) == n_wavs
+
+
+class TestGridFailures:
+    """A cell fails alone, with the error its own training would raise; a
+    failure every count shares fails every cell of its config."""
+
+    @pytest.fixture()
+    def manifests(self, workspace, tmp_path):
+        # Absolute WAV paths, so edited manifests can live in tmp_path.
+        paths = {}
+        for name in ("nat", "artif", "eval"):
+            paths[name] = tmp_path / f"{name}.tsv"
+            write_table(paths[name], MANIFEST_COLUMNS, [
+                (e.utt_id, e.path, e.label, e.system_id)
+                for e in parse_manifest(workspace[name])])
+        return paths
+
+    def test_count_above_a_class_frame_count_fails_only_its_cell(
+            self, workspace, manifests, tmp_path, capsys):
+        # One artificial file (about 25 frames) against three natural ones
+        # (about 75): 32 fails the artificial model, 128 the natural one.
+        artif = parse_manifest(manifests["artif"])
+        write_table(manifests["artif"], MANIFEST_COLUMNS, [
+            (e.utt_id, e.path, e.label, e.system_id) for e in artif][:1])
+        errors = _check_grid_against_cells(
+            manifests, workspace["config"], ["stat", "delta"], [2, 128, 32],
+            "raw", tmp_path / "grid.tsv", capsys)
+        expected = [("stat", 128, "nat", "natural-speech"),
+                    ("stat", 32, "artif", "artificial-speech"),
+                    ("delta", 128, "nat", "natural-speech"),
+                    ("delta", 32, "artif", "artificial-speech")]
+        assert len(errors) == len(expected)
+        for line, (variant, count, manifest, name) in zip(errors, expected):
+            where = re.escape(str(manifests[manifest]))
+            assert re.fullmatch(
+                rf"grid cell \({variant}, raw, {count}\) failed: {where}: "
+                rf"{name} model: \d+ frames cannot support {count} components",
+                line)
+        _, rows = _data_rows(tmp_path / "grid.tsv")
+        assert [r[3] == "failed" for r in rows] == [False, True, True] * 2
+
+    def test_front_end_failure_fails_every_cell_of_its_config(
+            self, workspace, manifests, tmp_path, capsys):
+        evals = parse_manifest(manifests["eval"])
+        garbage = tmp_path / "garbage.wav"
+        garbage.write_bytes(b"not a wav file")
+        rows = [(e.utt_id, e.path, e.label, e.system_id) for e in evals]
+        rows[1] = (rows[1][0], str(garbage)) + rows[1][2:]
+        write_table(manifests["eval"], MANIFEST_COLUMNS, rows)
+        errors = _check_grid_against_cells(
+            manifests, workspace["config"], ["stat", "z+delta"], [1, 4],
+            "both", tmp_path / "grid.tsv", capsys)
+        assert len(errors) == 8
+        assert all(str(garbage) in line for line in errors)
+
+    def test_degenerate_class_fails_every_cell_of_its_config(
+            self, workspace, manifests, tmp_path, capsys):
+        # Digital silence: CMVN zeroes every dimension of every frame.
+        silent = make_wav_corpus(tmp_path / "silent", [
+            (f"a{i}", "spoof", "vcX", tone(440.0, n_samples=4000, amplitude=0.0))
+            for i in range(3)])
+        manifests["artif"] = silent
+        errors = _check_grid_against_cells(
+            manifests, workspace["config"], ["stat", "delta"], [1, 2, 128],
+            "cmvn", tmp_path / "grid.tsv", capsys)
+        assert len(errors) == 6
+        # 128 exceeds the natural frames first; the rest are degenerate.
+        assert [("all training frames are identical" in line)
+                for line in errors] == [True, True, False] * 2
 
 
 class TestDefaultFrontEnd:
@@ -318,7 +504,7 @@ class TestErrorHandling:
             trained.append(args)
             raise DataError("training is not expected")
 
-        monkeypatch.setattr(cli, "train_detector", no_training)
+        monkeypatch.setattr(cli, "pooled_frames", no_training)
         out = tmp_path / "grid.tsv"
         # A count that is not a power of two, and repeated cells: a repeated
         # count, or two spellings that parse to the same variant.
@@ -355,7 +541,7 @@ class TestErrorHandling:
             trained.append(args)
             raise DataError("training is not expected")
 
-        monkeypatch.setattr(cli, "train_detector", no_training)
+        monkeypatch.setattr(cli, "pooled_frames", no_training)
         manifests = {name: str(workspace[name])
                      for name in ("nat", "artif", "eval")}
         # The broken manifest keeps only the rows labelled ``keep``.

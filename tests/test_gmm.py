@@ -9,7 +9,7 @@ from spoofmeter import (
     train_gmm,
 )
 from spoofmeter import gmm as gmm_module
-from spoofmeter.gmm import frame_log_likelihoods
+from spoofmeter.gmm import frame_log_likelihoods, gmm_stages
 from spoofmeter.errors import (
     ConfigError,
     DegenerateDataError,
@@ -79,6 +79,15 @@ class TestTraining:
                              return_history=True)
         assert len(small) == 3 and len(large) == 5
         assert small == large[:3]
+        # The stage models of one run are the standalone runs' models.
+        stages = {gmm.n_components: gmm for gmm, _ in
+                  gmm_stages(frames, GmmTrainConfig(target_components=32))}
+        assert sorted(stages) == [1, 2, 4, 8, 16, 32]
+        for count in (1, 2, 8, 32):
+            alone = train_gmm(frames, GmmTrainConfig(target_components=count))
+            for name in ("weights", "means", "variances"):
+                assert np.array_equal(getattr(stages[count], name),
+                                      getattr(alone, name))
 
     def test_invariants_on_random_data(self):
         rng = np.random.default_rng(22)
