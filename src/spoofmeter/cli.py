@@ -28,10 +28,12 @@ name the file. So is a front end that cannot run, which
 and ``use_*``) by ``--variants`` and its ``apply_cmvn`` by ``--cmvn``:
 ``"apply_cmvn": true`` still runs raw cells.
 
-``grid`` does each expensive step once per run. Every WAV's static cepstra
-(:func:`~spoofmeter.features.static_cepstra`) are computed once and kept in
-memory for the whole run: ``num_ceps + 1`` float64 per frame, about 24 KB
-per audio second at the defaults. Per front-end config, each class's
+``train`` and ``grid`` share one training path,
+:func:`~spoofmeter.detector.train_detectors`; ``train`` is its one-count
+case. ``grid`` does each expensive step once per run. Every WAV's static
+cepstra (:func:`~spoofmeter.features.static_cepstra`) are computed once and
+kept in memory for the whole run: ``num_ceps + 1`` float64 per frame, about
+24 KB per audio second at the defaults. Per front-end config, each class's
 frames are pooled once and trained once, up to the largest Gaussian count
 they support, and each eval file is scored by every count in one pass. A
 cell still fails alone, with the message its own ``train`` would print.
@@ -55,12 +57,11 @@ from .cqt import DEFAULT_OCTAVES, DEFAULT_SAMPLE_RATE
 from .detector import (
     DetectorModel,
     check_not_empty,
-    class_models,
-    pooled_frames,
     read_score_file,
     score_batch,
     score_batches,
     train_detector,
+    train_detectors,
     write_score_file,
 )
 from .errors import (
@@ -119,6 +120,8 @@ def load_run_config(path=None):
     if path is not None:
         try:
             doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text ({exc})") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
         if not isinstance(doc, dict):
@@ -255,29 +258,16 @@ def _grid_cells(nat, artif, eval_manifest, config, gmm_config, counts,
                 static_memo) -> dict:
     """Attack-averaged EER, or the error that fails the cell, per count.
 
-    One front-end config's row of the grid. Each class's frames are pooled
-    once and trained once, up to the largest count they support, and each
-    eval file is scored by every count's detector in one pass. A cell fails
-    with the error its own ``train_detector`` and ``score_batch`` would
-    raise.
+    One front-end config's row of the grid. The detectors come from one
+    :func:`~spoofmeter.detector.train_detectors` call, the training path
+    ``train`` uses too, and each eval file is scored by every count's
+    detector in one pass. A cell fails with the error its own ``train`` and
+    ``score`` would raise.
     """
-    try:
-        nat_frames = pooled_frames(nat, "natural-speech", config, static_memo)
-        artif_frames = pooled_frames(artif, "artificial-speech", config,
-                                     static_memo)
-    except SpoofmeterError as exc:
-        return dict.fromkeys(counts, exc)
-    cells = class_models(nat_frames, nat, "natural-speech", gmm_config, counts)
-    trained = [c for c in counts if not isinstance(cells[c], Exception)]
-    artif_gmms = class_models(artif_frames, artif, "artificial-speech",
-                              gmm_config, trained)
-    detectors = {}
-    for count in trained:
-        if isinstance(artif_gmms[count], Exception):
-            cells[count] = artif_gmms[count]
-        else:
-            detectors[count] = DetectorModel(cells[count], artif_gmms[count],
-                                             config)
+    cells = train_detectors(nat, artif, config, gmm_config, counts,
+                            static_memo)
+    detectors = {count: model for count, model in cells.items()
+                 if isinstance(model, DetectorModel)}
     if not detectors:
         return cells
     try:

@@ -5,9 +5,10 @@ an utterance is scored by the difference of its frame-averaged
 log-likelihoods under the two models. Higher scores mean the utterance
 looks more like natural human speech to the detector.
 
-Training never touches evaluation manifests: :func:`train_detector` takes
-only the two class manifests, so evaluation audio cannot leak into the
-models by construction.
+Training never touches evaluation manifests: :func:`train_detectors`, the
+one training path (``train`` and ``grid`` both go through it), takes only the
+two class manifests, so evaluation audio cannot leak into the models by
+construction.
 
 Features come from :func:`~spoofmeter.features.features_for_file`, through
 the feature cache in ``$SPOOFMETER_CACHE_DIR`` when that is set.
@@ -16,15 +17,14 @@ the feature cache in ``$SPOOFMETER_CACHE_DIR`` when that is set.
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 from . import __version__
 from .errors import (BatchScoringError, DegenerateDataError,
-                     DimMismatchError, EmptyManifestError, TooFewFramesError)
+                     DimMismatchError, EmptyManifestError, SpoofmeterError,
+                     TooFewFramesError)
 from .features import FeatureConfig, FeatureMatrix, features_for_file
-from .gmm import (DiagGmm, GmmTrainConfig, avg_log_likelihood, gmm_stages,
-                  train_gmm)
+from .gmm import DiagGmm, GmmTrainConfig, avg_log_likelihood, gmm_stages
 from .manifest import Manifest
 from .metrics import ScoreRecord, ScoreSet
 from .tables import read_table, write_table
@@ -79,13 +79,9 @@ def _for_each_file(manifest: Manifest, name: str, per_file) -> list:
     return results
 
 
-def pooled_frames(manifest: Manifest, name: str, config: FeatureConfig,
-                  static_memo: dict | None = None) -> np.ndarray:
-    """Every row's features stacked in manifest order: one class's frames.
-
-    ``static_memo`` is passed on to
-    :func:`~spoofmeter.features.features_for_file`.
-    """
+def _pooled_frames(manifest: Manifest, name: str, config: FeatureConfig,
+                   static_memo: dict | None) -> np.ndarray:
+    # Every row's features stacked in manifest order: one class's frames.
     cache_dir = os.environ.get(CACHE_ENV_VAR) or None
 
     def frames(entry):
@@ -95,75 +91,84 @@ def pooled_frames(manifest: Manifest, name: str, config: FeatureConfig,
     return np.vstack(_for_each_file(manifest, name, frames))
 
 
-@contextmanager
-def _class_errors(manifest: Manifest, name: str):
-    # An EM failure is raised again as its own type, naming class and manifest.
-    try:
-        yield
-    except (TooFewFramesError, DegenerateDataError) as exc:
-        where = f"{manifest.source_path}: " if manifest.source_path else ""
-        raise type(exc)(f"{where}{name} model: {exc}") from exc
-
-
-def class_models(frames, manifest: Manifest, name: str,
-                 gmm_config: GmmTrainConfig, counts) -> dict:
+def _class_models(frames, manifest: Manifest, name: str,
+                  gmm_config: GmmTrainConfig, counts) -> dict:
     """One class's model at each of ``counts``, from one EM run.
 
     The run goes up to the largest count the frames support, and each
-    smaller count takes its stage model. Maps every count to the
-    :class:`DiagGmm` that :func:`train_detector` would train for it, or to
-    the error, named as there, that training to it raises.
+    smaller count takes its stage model. A count the run cannot reach maps
+    to its EM error: the same type, its message naming manifest and class.
     """
     models, stages = {}, None
     for count in sorted(counts, reverse=True):
         try:
-            with _class_errors(manifest, name):
-                if stages is None:
-                    config = replace(gmm_config, target_components=count)
-                    stages = {gmm.n_components: gmm
-                              for gmm, _ in gmm_stages(frames, config)
-                              if gmm.n_components in counts}
-        except (TooFewFramesError, DegenerateDataError) as exc:
-            models[count] = exc
-        else:
+            if stages is None:
+                config = replace(gmm_config, target_components=count)
+                stages = {gmm.n_components: gmm
+                          for gmm, _ in gmm_stages(frames, config)
+                          if gmm.n_components in counts}
             models[count] = stages[count]
+        except (TooFewFramesError, DegenerateDataError) as exc:
+            where = f"{manifest.source_path}: " if manifest.source_path else ""
+            models[count] = type(exc)(f"{where}{name} model: {exc}")
     return models
+
+
+def train_detectors(nat_manifest: Manifest, artif_manifest: Manifest,
+                    feature_config: FeatureConfig, gmm_config: GmmTrainConfig,
+                    counts, static_memo: dict | None = None) -> dict:
+    """Train the two class models at each Gaussian count in ``counts``.
+
+    Features are extracted per ``feature_config`` for every manifest row
+    and pooled per class in manifest order, once. Each class is trained
+    once, with ``gmm_config``'s schedule, up to the largest count its
+    frames support; the artificial class only for the counts the natural
+    class reached. Maps every count to its self-describing
+    :class:`DetectorModel`, or to the error training it raises: a file or
+    manifest error of either class, else the natural class's EM error, else
+    the artificial class's. ``static_memo`` is passed on to
+    :func:`~spoofmeter.features.features_for_file`.
+    """
+    config = feature_config.pinned()
+    try:
+        nat_frames = _pooled_frames(nat_manifest, "natural-speech", config,
+                                    static_memo)
+        artif_frames = _pooled_frames(artif_manifest, "artificial-speech",
+                                      config, static_memo)
+    except SpoofmeterError as exc:
+        return dict.fromkeys(counts, exc)
+    models = _class_models(nat_frames, nat_manifest, "natural-speech",
+                           gmm_config, counts)
+    trained = [c for c in counts if isinstance(models[c], DiagGmm)]
+    artif_gmms = _class_models(artif_frames, artif_manifest,
+                               "artificial-speech", gmm_config, trained)
+
+    metadata = {"tool": f"spoofmeter {__version__}", "seed": str(gmm_config.seed)}
+    for side, manifest, frames in (("nat", nat_manifest, nat_frames),
+                                   ("artif", artif_manifest, artif_frames)):
+        metadata[f"{side}_files"] = str(len(manifest))
+        metadata[f"{side}_frames"] = str(frames.shape[0])
+        if manifest.source_path:
+            metadata[f"{side}_manifest"] = manifest.source_path
+    for count in trained:
+        if isinstance(artif_gmms[count], DiagGmm):
+            models[count] = DetectorModel(models[count], artif_gmms[count],
+                                          config, dict(metadata))
+        else:
+            models[count] = artif_gmms[count]
+    return {count: models[count] for count in counts}
 
 
 def train_detector(nat_manifest: Manifest, artif_manifest: Manifest,
                    feature_config: FeatureConfig,
                    gmm_config: GmmTrainConfig) -> DetectorModel:
-    """Train the two class models on pooled per-class frames.
-
-    Features are extracted per ``feature_config`` for every manifest row,
-    pooled per class in manifest order, and one GMM is trained per class
-    with the identical schedule. The returned model is self-describing. An
-    EM failure is raised again as its own type, naming class and manifest.
-    """
-    config = feature_config.pinned()
-    nat_frames = pooled_frames(nat_manifest, "natural-speech", config)
-    artif_frames = pooled_frames(artif_manifest, "artificial-speech", config)
-
-    with _class_errors(nat_manifest, "natural-speech"):
-        nat_gmm = train_gmm(nat_frames, gmm_config)
-    with _class_errors(artif_manifest, "artificial-speech"):
-        artif_gmm = train_gmm(artif_frames, gmm_config)
-
-    metadata = {
-        "tool": f"spoofmeter {__version__}",
-        "seed": str(gmm_config.seed),
-        "nat_files": str(len(nat_manifest)),
-        "artif_files": str(len(artif_manifest)),
-        "nat_frames": str(nat_frames.shape[0]),
-        "artif_frames": str(artif_frames.shape[0]),
-    }
-    if nat_manifest.source_path:
-        metadata["nat_manifest"] = nat_manifest.source_path
-    if artif_manifest.source_path:
-        metadata["artif_manifest"] = artif_manifest.source_path
-
-    return DetectorModel(nat=nat_gmm, artif=artif_gmm,
-                         feature_config=config, metadata=metadata)
+    """:func:`train_detectors` at ``gmm_config``'s one count; raises its error."""
+    count = gmm_config.target_components
+    model = train_detectors(nat_manifest, artif_manifest, feature_config,
+                            gmm_config, [count])[count]
+    if isinstance(model, Exception):
+        raise model
+    return model
 
 
 def llr_score(model: DetectorModel, feats: FeatureMatrix) -> float:

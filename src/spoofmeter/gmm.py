@@ -150,10 +150,11 @@ def gmm_stages(frames, config: GmmTrainConfig):
             f"{n_frames} frames cannot support {config.target_components} "
             f"components")
 
+    # Compared, not by variance: the mean of identical frames can round.
+    if not np.any(frames.max(axis=0) > frames.min(axis=0)):
+        raise DegenerateDataError("all training frames are identical")
     global_mean = frames.mean(axis=0)
     global_var = frames.var(axis=0)
-    if not np.any(global_var > 0.0):
-        raise DegenerateDataError("all training frames are identical")
     # Constant dimensions get a tiny positive stand-in so the floor stays > 0.
     var_basis = np.maximum(global_var, 1e-12 * max(global_var.max(), 1.0))
     floor = _VARIANCE_FLOOR_FACTOR * var_basis

@@ -10,6 +10,7 @@ naming the file and the physical 1-based line.
 
 from __future__ import annotations
 
+import re
 import uuid
 from contextlib import contextmanager
 from pathlib import Path
@@ -38,7 +39,12 @@ def read_table(path, columns, parse) -> list:
     columns = list(columns)
     header_line = None
     rows = []
-    text = Path(path).read_text(encoding="utf-8")
+    text = Path(path).read_text(encoding="utf-8", errors="surrogateescape")
+    bad = re.search("[\udc80-\udcff]", text)  # where a byte did not decode
+    if bad:
+        raise ManifestParseError(
+            text.count("\n", 0, bad.start()) + 1,
+            f"byte {ord(bad.group()) - 0xdc00:#04x} is not UTF-8", path)
     for number, line in enumerate(text.split("\n"), start=1):
         if not line.strip() or line.startswith("#"):
             continue

@@ -7,7 +7,10 @@ import numpy as np
 from scipy.signal import lfilter
 from scipy.special import logsumexp
 
-from spoofmeter import AudioSignal, CqccConfig, CqtConfig, FeatureConfig
+import spoofmeter
+from spoofmeter import (AudioSignal, CqccConfig, CqtConfig, DetectorModel,
+                        FeatureConfig, extract_features, read_wav, train_gmm)
+from spoofmeter.errors import DegenerateDataError, TooFewFramesError
 
 RATE = 16000
 
@@ -207,3 +210,38 @@ def reference_accumulate(frames, weights, means, variances):
     resp = np.exp(joint - frame_ll[:, None])
     return (frame_ll.sum() / frames.shape[0], resp.sum(axis=0),
             resp.T @ frames, resp.T @ (frames ** 2))
+
+
+def reference_detector(nat, artif, feature_config, gmm_config):
+    """The detector at ``gmm_config``'s count, trained class by class.
+
+    Per class, every file's features are stacked in manifest order and
+    ``train_gmm`` is run once; an EM error is raised again as its own type,
+    naming manifest and class. The composition that trained detectors
+    before one function served ``train`` and ``grid``, kept as an oracle
+    for ``detector.train_detectors``. No feature cache.
+    """
+    config = feature_config.pinned()
+    classes = ((nat, "natural-speech"), (artif, "artificial-speech"))
+    frames = [np.vstack([extract_features(config, read_wav(e.path)).frames
+                         for e in manifest]) for manifest, _ in classes]
+    gmms = []
+    for (manifest, name), pooled in zip(classes, frames):
+        try:
+            gmms.append(train_gmm(pooled, gmm_config))
+        except (TooFewFramesError, DegenerateDataError) as exc:
+            where = f"{manifest.source_path}: " if manifest.source_path else ""
+            raise type(exc)(f"{where}{name} model: {exc}") from exc
+    metadata = {
+        "tool": f"spoofmeter {spoofmeter.__version__}",
+        "seed": str(gmm_config.seed),
+        "nat_files": str(len(nat)),
+        "artif_files": str(len(artif)),
+        "nat_frames": str(frames[0].shape[0]),
+        "artif_frames": str(frames[1].shape[0]),
+    }
+    if nat.source_path:
+        metadata["nat_manifest"] = nat.source_path
+    if artif.source_path:
+        metadata["artif_manifest"] = artif.source_path
+    return DetectorModel(*gmms, config, metadata)

@@ -12,6 +12,7 @@ from helpers import (
     burst_resonant_noise,
     make_wav_corpus,
     mulaw_distort,
+    reference_detector,
     resonant_noise,
     tone,
 )
@@ -20,7 +21,6 @@ from spoofmeter import (
     cli,
     features,
     score_batch,
-    train_detector,
 )
 from spoofmeter.cli import main, parse_variant
 from spoofmeter.detector import CACHE_ENV_VAR
@@ -249,17 +249,17 @@ class TestGrid:
 
 
 def _grid_cell_oracle(manifests, config_path, variant, use_cmvn, count):
-    """One grid cell as its own train_detector + score_batch + EER: the EER,
-    or the stderr line of the failed cell."""
+    """One grid cell as its own reference_detector + score_batch + EER: the
+    EER, or the stderr line of the failed cell."""
     feature_config, gmm_config = cli.load_run_config(config_path)
     cqcc = replace(feature_config.cqcc, apply_cmvn=use_cmvn,
                    **parse_variant(variant))
     nat, artif, evals = (parse_manifest(manifests[name])
                          for name in ("nat", "artif", "eval"))
     try:
-        model = train_detector(nat, artif,
-                               replace(feature_config, cqcc=cqcc),
-                               replace(gmm_config, target_components=count))
+        model = reference_detector(
+            nat, artif, replace(feature_config, cqcc=cqcc),
+            replace(gmm_config, target_components=count))
         return attack_averaged_eer(score_batch(model, evals)).average_percent
     except SpoofmeterError as exc:
         mode = "cmvn" if use_cmvn else "raw"
@@ -397,18 +397,19 @@ class TestGridFailures:
 
     def test_degenerate_class_fails_every_cell_of_its_config(
             self, workspace, manifests, tmp_path, capsys):
-        # Digital silence: CMVN zeroes every dimension of every frame.
+        # Digital silence: every frame is the same. CMVN and deltas give
+        # exact zeros; raw static cepstra give one row whose mean rounds.
         silent = make_wav_corpus(tmp_path / "silent", [
             (f"a{i}", "spoof", "vcX", tone(440.0, n_samples=4000, amplitude=0.0))
             for i in range(3)])
         manifests["artif"] = silent
         errors = _check_grid_against_cells(
             manifests, workspace["config"], ["stat", "delta"], [1, 2, 128],
-            "cmvn", tmp_path / "grid.tsv", capsys)
-        assert len(errors) == 6
+            "both", tmp_path / "grid.tsv", capsys)
+        assert len(errors) == 12
         # 128 exceeds the natural frames first; the rest are degenerate.
         assert [("all training frames are identical" in line)
-                for line in errors] == [True, True, False] * 2
+                for line in errors] == [True, True, False] * 4
 
 
 class TestDefaultFrontEnd:
@@ -468,6 +469,33 @@ class TestErrorHandling:
         assert rc == 2
         assert f"{model}: not UTF-8" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, flag", [
+        ("score", "--eval"), ("eer", "--scores"), ("report", "--eer"),
+        ("report", "--opinions"), ("train", "--config")])
+    def test_input_that_is_not_utf8_exits_2_naming_file(
+            self, workspace, trained_model, tmp_path, capsys, command, flag):
+        bad = tmp_path / "bad.tsv"
+        bad.write_bytes(b"# a comment\nutt_id\t\xff\n")
+        eer_table = tmp_path / "eer.tsv"
+        write_table(eer_table, cli._EER_HEADER, [("sysA", 10.0, 0.5, 3, 2)])
+        argv = {
+            "score": ["--model", str(trained_model)],
+            "eer": [],
+            "report": ["--eer", str(eer_table)] if flag == "--opinions" else [],
+            "train": ["--nat", str(workspace["nat"]),
+                      "--artif", str(workspace["artif"])],
+        }[command]
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main([command, *argv, flag, str(bad), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        if command == "train":
+            assert err.startswith(f"spoofmeter: {bad}: not UTF-8 text")
+        else:
+            assert err == (f"spoofmeter: {bad}: line 2: "
+                           "byte 0xff is not UTF-8\n")
+        assert not out.exists()
+
     def test_partial_output_removed_on_failure(self, workspace, trained_model,
                                                tmp_path):
         # eval manifest referencing a missing wav: scoring must fail with 2
@@ -504,7 +532,7 @@ class TestErrorHandling:
             trained.append(args)
             raise DataError("training is not expected")
 
-        monkeypatch.setattr(cli, "pooled_frames", no_training)
+        monkeypatch.setattr(cli, "train_detectors", no_training)
         out = tmp_path / "grid.tsv"
         # A count that is not a power of two, and repeated cells: a repeated
         # count, or two spellings that parse to the same variant.
@@ -541,7 +569,7 @@ class TestErrorHandling:
             trained.append(args)
             raise DataError("training is not expected")
 
-        monkeypatch.setattr(cli, "pooled_frames", no_training)
+        monkeypatch.setattr(cli, "train_detectors", no_training)
         manifests = {name: str(workspace[name])
                      for name in ("nat", "artif", "eval")}
         # The broken manifest keeps only the rows labelled ``keep``.

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,16 +19,18 @@ from spoofmeter import (
     llr_score,
     parse_manifest,
     read_score_file,
+    save_model,
     score_batch,
     train_detector,
     write_score_file,
 )
 from spoofmeter.config import to_doc
-from spoofmeter.detector import CACHE_ENV_VAR
+from spoofmeter.detector import CACHE_ENV_VAR, train_detectors
 from spoofmeter.errors import (
     BatchScoringError,
     DimMismatchError,
     EmptyManifestError,
+    SpoofmeterError,
 )
 from spoofmeter.features import (
     _cache_key,
@@ -379,6 +382,74 @@ class TestFeatureCacheIntegration:
                 assert (getattr(getattr(cached, gmm), part).tobytes()
                         == getattr(getattr(uncached, gmm), part).tobytes())
         assert len(list(cache.glob("*.feat"))) == 5 * len(files)
+
+
+class TestTrainDetectors:
+    """``train_detectors`` against ``reference_detector``, which trains each
+    class with its own ``train_gmm`` call at each count."""
+
+    @pytest.fixture()
+    def corpus(self, tmp_path):
+        # About 75 natural and 50 artificial frames.
+        rng = np.random.default_rng(45)
+        nat = parse_manifest(_class_corpus(
+            tmp_path / "n", rng, LOW_BAND, "bonafide", "-", 3, "n"))
+        art = parse_manifest(_class_corpus(
+            tmp_path / "a", rng, HIGH_BAND, "spoof", "vcX", 2, "a"))
+        silent = parse_manifest(make_wav_corpus(tmp_path / "s", [
+            (f"s{i}", "spoof", "vcX", helpers.tone(440.0, n_samples=4000,
+                                                    amplitude=0.0))
+            for i in range(2)]))
+        return nat, art, silent
+
+    @staticmethod
+    def _model_bytes(model, path):
+        save_model(model, path)
+        return path.read_bytes()
+
+    def test_every_count_equals_its_own_training(self, corpus, tmp_path):
+        nat, art, _ = corpus
+        counts = [1, 2, 8]
+        models = train_detectors(nat, art, FEATURE_CONFIG, GMM_CONFIG, counts)
+        assert list(models) == counts
+        for count in counts:
+            config = replace(GMM_CONFIG, target_components=count)
+            expected = self._model_bytes(
+                helpers.reference_detector(nat, art, FEATURE_CONFIG, config),
+                tmp_path / "reference.json")
+            assert self._model_bytes(models[count],
+                                     tmp_path / "shared.json") == expected
+            assert self._model_bytes(
+                train_detector(nat, art, FEATURE_CONFIG, config),
+                tmp_path / "alone.json") == expected
+
+    @pytest.mark.parametrize("case, counts", [
+        # 64 exceeds the artificial frames only, 128 both classes.
+        ("few", [2, 64, 128]),
+        ("degenerate", [1, 2]),
+    ])
+    def test_errors_equal_those_of_its_own_training(self, corpus, case,
+                                                    counts):
+        nat, art, silent = corpus
+        artif = silent if case == "degenerate" else art
+        models = train_detectors(nat, artif, FEATURE_CONFIG, GMM_CONFIG,
+                                 counts)
+        assert list(models) == counts
+        failed = 0
+        for count in counts:
+            config = replace(GMM_CONFIG, target_components=count)
+            try:
+                helpers.reference_detector(nat, artif, FEATURE_CONFIG, config)
+            except SpoofmeterError as exc:
+                failed += 1
+                assert type(models[count]) is type(exc)
+                assert str(models[count]) == str(exc)
+                with pytest.raises(type(exc)) as alone:
+                    train_detector(nat, artif, FEATURE_CONFIG, config)
+                assert str(alone.value) == str(exc)
+            else:
+                assert isinstance(models[count], DetectorModel)
+        assert failed == (2 if case == "few" else len(counts))
 
 
 def test_helpers_config_sanity():

@@ -127,6 +127,12 @@ class TestTraining:
         with pytest.raises(DegenerateDataError):
             train_gmm(np.full((100, 3), 1.5), GmmTrainConfig(target_components=2))
 
+    def test_identical_frames_whose_mean_rounds_are_degenerate(self):
+        frames = np.full((75, 8), 0.1)
+        assert np.all(frames.var(axis=0) > 0.0)
+        with pytest.raises(DegenerateDataError):
+            train_gmm(frames, GmmTrainConfig(target_components=2))
+
     def test_target_must_be_power_of_two(self):
         with pytest.raises(ConfigError):
             GmmTrainConfig(target_components=3)

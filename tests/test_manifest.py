@@ -102,6 +102,18 @@ def test_errors_cite_physical_line_and_file(tmp_path):
     assert str(path) in str(info.value)
 
 
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_bytes_that_are_not_utf8_cite_their_line(tmp_path, newline):
+    path = tmp_path / "m.tsv"
+    path.write_bytes(newline.join(
+        ["# note", HEADER.rstrip("\n"), "u1\t\xe9.wav\tbonafide\t-"])
+        .encode("latin-1") + newline.encode())
+    with pytest.raises(ManifestParseError) as info:
+        parse_manifest(path)
+    assert info.value.line == 3
+    assert str(info.value) == f"{path}: line 3: byte 0xe9 is not UTF-8"
+
+
 def test_comments_only_file_has_no_header(tmp_path):
     path = _write(tmp_path, "# nothing here\n\n")
     with pytest.raises(ManifestParseError, match="no header"):
