@@ -10,7 +10,9 @@ lines and ``#`` lines are skipped anywhere, and the header is the first line
 that is neither. Every output embeds the configuration that produced it in
 leading ``#`` comment lines, with no timestamps, so identical invocations on
 the same machine at the same BLAS thread count produce byte-identical
-artifacts (EM's matrix products round by how BLAS splits them over threads).
+artifacts: the front end's matrix products (the direct-form CQT and the DCT
+basis) and EM's round by how BLAS splits them over threads, so features,
+models and scores all follow the thread count.
 Each output is written beside ``--out`` and renamed over it
 (:func:`spoofmeter.tables.replacing`), so a failed command leaves an earlier
 output as it was.

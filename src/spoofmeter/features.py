@@ -4,9 +4,9 @@ Pipeline (:func:`extract_features`), in two stages. :func:`static_cepstra`:
 resampling to the operating rate -> constant-Q spectrogram -> floored log
 power -> cubic-spline resampling of the geometric frequency axis onto a
 uniform grid -> orthonormal DCT-II truncated to the requested cepstral
-order, c0 included. :func:`assemble_features`: c0 kept or dropped ->
-optional delta and double-delta blocks -> optional per-utterance
-mean/variance normalization.
+order, c0 included, as one product with a cached closed-form basis.
+:func:`assemble_features`: c0 kept or dropped -> optional delta and
+double-delta blocks -> optional per-utterance mean/variance normalization.
 
 No speech-activity detection is applied anywhere: frame count depends only
 on signal length and hop.
@@ -18,6 +18,7 @@ take the static cepstra from an in-memory memo the caller owns.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -26,7 +27,6 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.fft import dct
 from scipy.interpolate import CubicSpline
 
 from .audio_io import AudioSignal, read_wav, resample
@@ -45,7 +45,7 @@ DELTA_WINDOW = 2
 
 # Part of every feature cache key. Bump it whenever extraction output changes,
 # even in the last bits, so that entries an older front end wrote are rebuilt.
-_FRONTEND_REVISION = 5
+_FRONTEND_REVISION = 6
 
 
 @dataclass(frozen=True)
@@ -149,20 +149,39 @@ def uniform_resample(log_spec, center_freqs, period: int,
     return CubicSpline(center_freqs, log_spec, axis=1)(grid), grid
 
 
+@functools.lru_cache(maxsize=8)
+def _dct_basis(n_points: int, num_ceps: int) -> np.ndarray:
+    """Read-only ``(n_points, num_ceps + 1)`` orthonormal DCT-II basis.
+
+    Column 0 is ``sqrt(1/n)`` and column k is
+    ``sqrt(2/n) cos(pi (2g + 1) k / 2n)``, with ``(2g + 1) k`` reduced modulo
+    ``4n`` in integers so that every cosine argument lies in ``[0, 2 pi)``.
+    """
+    g = np.arange(n_points, dtype=np.int64)[:, None]
+    k = np.arange(num_ceps + 1, dtype=np.int64)[None, :]
+    turns = ((2 * g + 1) * k) % (4 * n_points)
+    basis = math.sqrt(2.0 / n_points) * np.cos(np.pi * turns / (2 * n_points))
+    basis[:, 0] = math.sqrt(1.0 / n_points)
+    basis.setflags(write=False)
+    return basis
+
+
 def dct_truncate(uniform_log_spec, num_ceps: int,
                  include_zeroth: bool) -> np.ndarray:
     """Orthonormal DCT-II per frame, keeping coefficients 1..num_ceps.
 
     Coefficient 0 (the energy term) is prepended when ``include_zeroth``.
+    Computed as one product with the cached c0-inclusive basis of the grid,
+    then sliced, so the result without c0 equals the one with it, minus its
+    first column, bit for bit.
     """
     mat = np.asarray(uniform_log_spec, dtype=np.float64)
     if mat.shape[1] < num_ceps + 1:
         raise GridTooSmallError(
             f"grid of {mat.shape[1]} points cannot yield {num_ceps} "
             f"cepstral coefficients")
-    coeffs = dct(mat, type=2, norm="ortho", axis=1)
-    lo = 0 if include_zeroth else 1
-    return coeffs[:, lo:num_ceps + 1]
+    coeffs = mat @ _dct_basis(mat.shape[1], num_ceps)
+    return coeffs[:, 0 if include_zeroth else 1:]
 
 
 def _delta(mat: np.ndarray, window: int = DELTA_WINDOW) -> np.ndarray:
@@ -273,8 +292,7 @@ def default_feature_config(sample_rate: int = DEFAULT_SAMPLE_RATE) -> FeatureCon
 def static_cepstra(config: FeatureConfig, signal: AudioSignal) -> np.ndarray:
     """First stage: static cepstra with c0, ``(frames, num_ceps + 1)``.
 
-    Resampling to the operating rate, CQT, log power, spline and DCT. The
-    result is a contiguous copy, so it keeps no full DCT row alive. It
+    Resampling to the operating rate, CQT, log power, spline and DCT. It
     depends on ``sample_rate``, ``cqt``, ``num_ceps`` and the effective grid
     size only, not on block selection or CMVN.
     """
@@ -285,7 +303,7 @@ def static_cepstra(config: FeatureConfig, signal: AudioSignal) -> np.ndarray:
     uniform, _ = uniform_resample(logp, config.cqt.center_freqs,
                                   config.cqcc.resample_period,
                                   n_points=config.effective_grid_size)
-    return dct_truncate(uniform, config.cqcc.num_ceps, True).copy()
+    return dct_truncate(uniform, config.cqcc.num_ceps, True)
 
 
 def assemble_features(cqcc: CqccConfig, ceps,

@@ -4,8 +4,9 @@ Manifests, score files, opinion files, EER tables, reports and grids follow
 one rule. Blank lines and lines starting with ``#`` are skipped anywhere.
 The header is the first line that is neither and lists the expected columns
 exactly; every later such line is a row with one cell per column. Lines end
-at ``\\n``, ``\\r\\n`` or ``\\r``. Errors raise :class:`ManifestParseError`
-naming the file and the physical 1-based line.
+at ``\\n``, ``\\r\\n`` or ``\\r``, and a leading UTF-8 byte-order mark, as
+some editors write one, is not part of the first line. Errors raise
+:class:`ManifestParseError` naming the file and the physical 1-based line.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ def read_table(path, columns, parse) -> list:
     columns = list(columns)
     header_line = None
     rows = []
-    text = Path(path).read_text(encoding="utf-8", errors="surrogateescape")
+    text = Path(path).read_text(encoding="utf-8-sig", errors="surrogateescape")
     bad = re.search("[\udc80-\udcff]", text)  # where a byte did not decode
     if bad:
         raise ManifestParseError(

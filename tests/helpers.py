@@ -4,6 +4,7 @@ and reference formulas kept as oracles."""
 import wave
 
 import numpy as np
+from scipy.fft import dct
 from scipy.signal import lfilter
 from scipy.special import logsumexp
 
@@ -182,6 +183,15 @@ def mulaw_distort(signal: AudioSignal, bits: int, mu: float = 255.0) -> AudioSig
     dequant = (q + 0.5) / levels * 2.0 - 1.0
     expanded = np.sign(dequant) * ((1.0 + mu) ** np.abs(dequant) - 1.0) / mu
     return AudioSignal(expanded, signal.sample_rate)
+
+
+def reference_dct_truncate(uniform_log_spec, num_ceps, include_zeroth):
+    """The full orthonormal DCT-II of every frame, then the kept columns: the
+    composition ``features.dct_truncate`` used before its cached basis. An
+    oracle for the basis product, not a second code path."""
+    lo = 0 if include_zeroth else 1
+    return dct(np.asarray(uniform_log_spec, dtype=np.float64), type=2,
+               norm="ortho", axis=1)[:, lo:num_ceps + 1]
 
 
 def reference_joint_log_likelihoods(frames, weights, means, variances):

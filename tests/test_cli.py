@@ -671,6 +671,17 @@ class TestErrorHandling:
         assert extracted == []
         assert not out.exists()
 
+    def test_eer_reads_scores_with_a_byte_order_mark(self, tmp_path):
+        scores = tmp_path / "scores.tsv"
+        scores.write_text("\ufeffutt_id\tlabel\tsystem_id\tllr\n"
+                          "u0\tbonafide\t-\t0.5\n"
+                          "u1\tspoof\tsysA\t-0.5\n", encoding="utf-8")
+        out = tmp_path / "eer.tsv"
+        assert main(["eer", "--scores", str(scores), "--out", str(out)]) == 0
+        _, rows = _data_rows(out)
+        assert [(r[0], float(r[1])) for r in rows] == [
+            ("sysA", 0.0), ("(average)", 0.0)]
+
     @pytest.mark.parametrize("label", ["bonafide", "spoof"])
     def test_eer_without_one_population_exits_2_naming_file(
             self, tmp_path, capsys, label):

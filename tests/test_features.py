@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import RATE, SMALL_CQT, noise_signal
+from helpers import RATE, SMALL_CQT, noise_signal, reference_dct_truncate
 from spoofmeter import (
     AudioSignal,
     CqccConfig,
@@ -26,6 +26,7 @@ from spoofmeter.errors import (
     SignalTooShortError,
     TooFewBinsError,
 )
+from spoofmeter.features import _dct_basis
 
 
 def _spec_from(mags):
@@ -132,6 +133,31 @@ class TestDctTruncate:
     def test_grid_too_small(self):
         with pytest.raises(GridTooSmallError):
             dct_truncate(np.zeros((1, 29)), 29, include_zeroth=False)
+
+    @pytest.mark.parametrize("include_zeroth", [False, True])
+    def test_matches_the_full_dct_on_the_default_grid(self, include_zeroth):
+        # 4,067 points: the uniform grid of the default 96 x 9 front end.
+        rng = np.random.default_rng(8)
+        mat = rng.standard_normal((40, 4067)) * 10.0 - 20.0
+        out = dct_truncate(mat, 29, include_zeroth)
+        expected = reference_dct_truncate(mat, 29, include_zeroth)
+        assert out.shape == expected.shape
+        assert np.max(np.abs(out - expected)) < 1e-10
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_without_c0_is_the_c0_result_minus_its_column(self, order):
+        # The spline hands over an F-ordered view; the benchmark's traced
+        # pass drops c0 here, the untraced front end after this call.
+        rng = np.random.default_rng(9)
+        mat = np.asarray(rng.standard_normal((300, 4067)), order=order)
+        assert (dct_truncate(mat, 29, False).tobytes()
+                == dct_truncate(mat, 29, True)[:, 1:].tobytes())
+
+    def test_basis_is_cached_read_only(self):
+        basis = _dct_basis(4067, 29)
+        assert basis.shape == (4067, 30)
+        assert not basis.flags.writeable
+        assert _dct_basis(4067, 29) is basis
 
 
 class TestDeltas:

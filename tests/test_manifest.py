@@ -114,6 +114,23 @@ def test_bytes_that_are_not_utf8_cite_their_line(tmp_path, newline):
     assert str(info.value) == f"{path}: line 3: byte 0xe9 is not UTF-8"
 
 
+def test_byte_order_mark_is_not_part_of_the_header(tmp_path):
+    path = tmp_path / "m.tsv"
+    path.write_text("\ufeff" + HEADER + "u1\ta.wav\tbonafide\t-\n",
+                    encoding="utf-8")
+    assert [e.utt_id for e in parse_manifest(path)] == ["u1"]
+
+
+def test_bytes_after_a_byte_order_mark_cite_their_line(tmp_path):
+    path = tmp_path / "m.tsv"
+    path.write_bytes(b"\xef\xbb\xbf" + HEADER.encode()
+                     + b"u1\ta.wav\tbonafide\t-\n"
+                     + b"u2\t\xe9.wav\tspoof\tA\n")
+    with pytest.raises(ManifestParseError) as info:
+        parse_manifest(path)
+    assert str(info.value) == f"{path}: line 3: byte 0xe9 is not UTF-8"
+
+
 def test_comments_only_file_has_no_header(tmp_path):
     path = _write(tmp_path, "# nothing here\n\n")
     with pytest.raises(ManifestParseError, match="no header"):

@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import small_feature_config
+from helpers import reference_dct_truncate, small_feature_config
 from spoofmeter import (
     AudioSignal,
     CqccConfig,
@@ -24,6 +24,7 @@ from spoofmeter import (
 from spoofmeter.errors import ConfigError
 from spoofmeter.features import (
     FeatureConfig,
+    dct_truncate,
     default_grid_size,
     extract_features,
     read_feature_cache,
@@ -169,6 +170,20 @@ def test_model_array_codec_is_bit_exact(array):
     back = _array_from_doc(doc, 2, "array")
     assert back.dtype == np.float64 and back.shape == array.shape
     assert back.tobytes() == array.tobytes()
+
+
+@PROPERTY_SETTINGS
+@given(n_points=st.integers(2, 4096), data=st.data(),
+       seed=st.integers(0, 2**32 - 1), include_zeroth=st.booleans())
+def test_dct_truncate_matches_the_full_dct(n_points, data, seed,
+                                          include_zeroth):
+    # Up to 64 coefficients keeps each cached basis within 2 MB.
+    num_ceps = data.draw(st.integers(1, min(n_points - 1, 64)))
+    mat = np.random.default_rng(seed).standard_normal((3, n_points)) * 10.0
+    out = dct_truncate(mat, num_ceps, include_zeroth)
+    expected = reference_dct_truncate(mat, num_ceps, include_zeroth)
+    assert out.shape == expected.shape
+    assert np.max(np.abs(out - expected)) < 1e-10
 
 
 # --- tables ----------------------------------------------------------------
