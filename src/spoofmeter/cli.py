@@ -12,7 +12,9 @@ leading ``#`` comment lines, with no timestamps, so identical invocations on
 the same machine at the same BLAS thread count produce byte-identical
 artifacts: the front end's matrix products (the direct-form CQT and the DCT
 basis) and EM's round by how BLAS splits them over threads, so features,
-models and scores all follow the thread count.
+models and scores all follow the thread count. The feature cache's key holds
+no thread count, so with ``SPOOFMETER_CACHE_DIR`` set this holds only for a
+cold cache or one filled at the same count.
 Each output is written beside ``--out`` and renamed over it
 (:func:`spoofmeter.tables.replacing`), so a failed command leaves an earlier
 output as it was.
@@ -47,14 +49,12 @@ failure.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import warnings
 from dataclasses import replace
-from pathlib import Path
 
 from . import __version__
-from .config import checked, from_doc, to_doc
+from .config import checked, from_doc, read_json_object, to_doc
 from .cqt import DEFAULT_OCTAVES, DEFAULT_SAMPLE_RATE
 from .detector import (
     DetectorModel,
@@ -118,16 +118,7 @@ def load_run_config(path=None):
     run (see :class:`~spoofmeter.features.FeatureConfig`, which checks it) is
     an error naming the file, before any WAV is read.
     """
-    doc = {}
-    if path is not None:
-        try:
-            doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"{path}: not UTF-8 text ({exc})") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
-        if not isinstance(doc, dict):
-            raise ConfigError(f"{path}: config must be a JSON object")
+    doc = {} if path is None else read_json_object(path)
     where = str(path)
     gmm = from_doc(GmmTrainConfig, doc.pop("gmm", {}), f"{where}: gmm",
                    to_doc(GmmTrainConfig()))

@@ -7,11 +7,16 @@ the feature-cache key all use this one document. Types are checked strictly
 on the way in: an ``int`` field takes an int but never a bool, a ``float``
 field takes an int or a float and stores a float, and a ``bool`` field takes
 only a bool.
+
+Run configs and model files are read by :func:`read_json_object` and their
+keys checked by :func:`check_keys`.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import fields, is_dataclass
+from pathlib import Path
 from typing import get_type_hints
 
 from .errors import ConfigError
@@ -32,6 +37,35 @@ def to_doc(obj) -> dict:
     return doc
 
 
+def read_json_object(path, error=ConfigError) -> dict:
+    """The top-level JSON object of the UTF-8 file ``path``, else ``error``
+    naming it; a missing file raises ``FileNotFoundError``."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc})") from exc
+    except json.JSONDecodeError as exc:
+        raise error(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(doc, dict):
+        raise error(f"{path}: top level must be a JSON object, "
+                    f"got {type(doc).__name__}")
+    return doc
+
+
+def check_keys(doc, names, where, error=ConfigError,
+               all_required=True) -> dict:
+    """``doc`` if it is a JSON object of the keys ``names``, else ``error``
+    naming ``where``; missing keys are allowed unless ``all_required``."""
+    if not isinstance(doc, dict):
+        raise error(f"{where} must be a JSON object, got {type(doc).__name__}")
+    missing = set(names) - set(doc) if all_required else ()
+    unknown = set(doc) - set(names)
+    for kind, keys in (("missing", missing), ("unknown", unknown)):
+        if keys:
+            raise error(f"{where}: {kind} keys {sorted(keys)}")
+    return doc
+
+
 def checked(value, hint, where):
     """``value`` as a field of type ``hint`` holds it; else :class:`ConfigError`."""
     if (isinstance(value, bool) != (hint is bool)
@@ -49,17 +83,11 @@ def from_doc(cls, doc, where, defaults=None, **outside_doc):
     or missing keys, wrong types and out-of-range values raise
     :class:`ConfigError` naming ``where`` (a file, then the path of keys).
     """
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{where} must be a JSON object, got {doc!r}")
     names = _doc_fields(cls)
-    unknown = sorted(set(doc) - set(names))
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {unknown}")
+    check_keys(doc, names, where, all_required=defaults is None)
     hints = get_type_hints(cls)
     values = {}
     for name in names:
-        if name not in doc and defaults is None:
-            raise ConfigError(f"{where}: missing key {name!r}")
         value = doc[name] if name in doc else defaults[name]
         if is_dataclass(hints[name]):
             values[name] = from_doc(
@@ -69,5 +97,5 @@ def from_doc(cls, doc, where, defaults=None, **outside_doc):
             values[name] = checked(value, hints[name], f"{where}: {name}")
     try:
         return cls(**values, **outside_doc)
-    except ConfigError as exc:
+    except (ConfigError, OverflowError) as exc:  # sizes beyond a float
         raise ConfigError(f"{where}: {exc}") from exc

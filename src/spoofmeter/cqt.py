@@ -99,8 +99,15 @@ class CqtConfig:
         if not (0.0 < self.f_min < self.f_max):
             raise ConfigError(
                 f"need 0 < f_min < f_max, got f_min={self.f_min}, f_max={self.f_max}")
-        if self.n_bins < 1:
-            raise ConfigError("frequency range yields no bins")
+        if not math.isfinite(self.f_max / self.f_min):
+            raise ConfigError(
+                f"f_max / f_min = {self.f_max} / {self.f_min} overflows")
+
+    def check_nyquist(self, sample_rate) -> None:
+        """:class:`ConfigError` unless ``f_max`` is within Nyquist."""
+        if self.f_max > sample_rate / 2.0 + 1e-9:
+            raise ConfigError(f"cqt f_max={self.f_max} exceeds Nyquist for "
+                              f"{sample_rate} Hz")
 
     @property
     def q_factor(self) -> float:
@@ -272,9 +279,7 @@ def cqt_spectrogram(signal: AudioSignal, config: CqtConfig) -> CqtSpectrogram:
     only the first signal of each pays for its kernels.
     """
     rate = signal.sample_rate
-    if config.f_max > rate / 2.0 + 1e-9:
-        raise ConfigError(
-            f"f_max={config.f_max} exceeds Nyquist for rate {rate}")
+    config.check_nyquist(rate)
 
     lengths = config.window_lengths(rate)
     longest = int(lengths[0])

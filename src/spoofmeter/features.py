@@ -263,10 +263,7 @@ class FeatureConfig:
         if grid < num_ceps + 1:
             raise ConfigError(f"uniform grid of {grid} points cannot yield "
                               f"{num_ceps} cepstral coefficients")
-        if self.cqt.f_max > self.sample_rate / 2.0 + 1e-9:
-            raise ConfigError(
-                f"cqt f_max={self.cqt.f_max} exceeds Nyquist for "
-                f"{self.sample_rate} Hz")
+        self.cqt.check_nyquist(self.sample_rate)
 
     @property
     def effective_grid_size(self) -> int:

@@ -14,11 +14,10 @@ from __future__ import annotations
 import base64
 import json
 import math
-from pathlib import Path
 
 import numpy as np
 
-from .config import checked, from_doc, to_doc
+from .config import check_keys, checked, from_doc, read_json_object, to_doc
 from .detector import DetectorModel
 from .errors import DataError, SchemaError, VersionMismatchError
 from .features import FeatureConfig
@@ -70,12 +69,7 @@ def load_model(path) -> DetectorModel:
     or range, malformed arrays, a feature config the GMMs or the grid
     disagree with, a feature config whose front end cannot run).
     """
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except UnicodeDecodeError as exc:
-        raise SchemaError(f"{path}: not UTF-8 text ({exc})") from exc
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
+    doc = read_json_object(path, SchemaError)
     try:
         return _model_from_doc(doc)
     except VersionMismatchError as exc:
@@ -86,17 +80,15 @@ def load_model(path) -> DetectorModel:
         raise SchemaError(f"{path}: malformed model document ({exc})") from exc
 
 
-def _model_from_doc(doc) -> DetectorModel:
-    if not isinstance(doc, dict):
-        raise SchemaError("expected a JSON object at top level")
+def _model_from_doc(doc: dict) -> DetectorModel:
     if "format_version" not in doc:
         raise SchemaError("missing format_version")
     version = checked(doc["format_version"], int, "format_version")
     if version not in _READ_VERSIONS:
         raise VersionMismatchError(
             f"format_version {version}, this build reads {_READ_VERSIONS}")
-    _check_keys(doc, _DOC_KEYS, "model document")
-    grid = _check_keys(doc["grid"], _GRID_KEYS, "grid")
+    check_keys(doc, _DOC_KEYS, "model document", SchemaError)
+    grid = check_keys(doc["grid"], _GRID_KEYS, "grid", SchemaError)
     config = from_doc(FeatureConfig, doc["feature_config"], "feature_config",
                       grid_size=checked(grid["size"], int, "grid: size"))
     for key in ("f_min", "f_max"):
@@ -109,18 +101,6 @@ def _model_from_doc(doc) -> DetectorModel:
     artif = _gmm_from_doc(doc["artif_gmm"], version, "artif_gmm")
     return DetectorModel(nat=nat, artif=artif, feature_config=config,
                          metadata=metadata)
-
-
-def _check_keys(doc, expected, where) -> dict:
-    if not isinstance(doc, dict):
-        raise SchemaError(
-            f"{where} must be a JSON object, got {type(doc).__name__}")
-    missing = sorted(set(expected) - set(doc))
-    unknown = sorted(set(doc) - set(expected))
-    if missing or unknown:
-        raise SchemaError(
-            f"{where}: missing keys {missing}, unknown keys {unknown}")
-    return doc
 
 
 def _check_metadata(metadata, where) -> dict:
@@ -137,7 +117,7 @@ def _gmm_doc(gmm: DiagGmm) -> dict:
 
 
 def _gmm_from_doc(doc, version, where) -> DiagGmm:
-    _check_keys(doc, _GMM_KEYS, where)
+    check_keys(doc, _GMM_KEYS, where, SchemaError)
     return DiagGmm(**{key: _array_from_doc(doc[key], version,
                                            f"{where}: {key}")
                       for key in _GMM_KEYS})
@@ -157,7 +137,7 @@ def _array_from_doc(doc, version, where) -> np.ndarray:
         if not all(type(v) in (int, float) for v in values.flat):
             raise SchemaError(f"{where} must be nested lists of numbers")
         return values.astype(np.float64)
-    _check_keys(doc, _ARRAY_KEYS, where)
+    check_keys(doc, _ARRAY_KEYS, where, SchemaError)
     if doc["dtype"] != _ARRAY_DTYPE:
         raise SchemaError(f"{where}: dtype must be {_ARRAY_DTYPE!r}, "
                           f"got {doc['dtype']!r}")

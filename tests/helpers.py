@@ -24,6 +24,23 @@ SMALL_CQT = CqtConfig(bins_per_octave=12, f_min=500.0, f_max=8000.0, hop=160)
 MEDIUM_CQT = CqtConfig(bins_per_octave=24, f_min=125.0, f_max=8000.0, hop=160)
 
 
+# Valid ``.npy`` arrays that are not usable feature-cache entries, by the
+# reason ``read_feature_cache`` gives for refusing them.
+NOT_FEATURES = {
+    "float32": (np.ones((4, 3), dtype=np.float32), "not a float64 array"),
+    "int64": (np.ones((4, 3), dtype=np.int64), "not a float64 array"),
+    "1-d": (np.ones(12), "2-D"),
+    "nan": (np.array([[0.5, np.nan, 1.0]] * 4), "finite"),
+    "inf": (np.array([[0.5, -np.inf, 1.0]] * 4), "finite"),
+}
+
+
+def save_npy(path, array):
+    """``np.save`` to exactly ``path``, which need not end in ``.npy``."""
+    with open(path, "wb") as f:
+        np.save(f, array, allow_pickle=False)
+
+
 def small_feature_config(**cqcc_kwargs) -> FeatureConfig:
     return FeatureConfig(sample_rate=RATE, cqt=SMALL_CQT,
                          cqcc=CqccConfig(**cqcc_kwargs))

@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -16,12 +17,21 @@ from spoofmeter.errors import (
 )
 
 
+def _fmt(audio_format=1, channels=1, rate=16000, bits=16):
+    return struct.pack("<HHIIHH", audio_format, channels, rate,
+                       rate * channels * bits // 8, channels * bits // 8, bits)
+
+
+def _riff(*chunks):
+    """A RIFF/WAVE container of ``(chunk_id, body)`` pairs, in order."""
+    body = b"".join(chunk_id + struct.pack("<I", len(data)) + data
+                    for chunk_id, data in chunks)
+    return b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body
+
+
 def _wav_bytes(audio_format=1, channels=1, rate=16000, bits=16, data=b"\x00\x00"):
-    fmt = struct.pack("<HHIIHH", audio_format, channels, rate,
-                      rate * channels * bits // 8, channels * bits // 8, bits)
-    chunks = b"fmt " + struct.pack("<I", len(fmt)) + fmt
-    chunks += b"data" + struct.pack("<I", len(data)) + data
-    return b"RIFF" + struct.pack("<I", 4 + len(chunks)) + b"WAVE" + chunks
+    return _riff((b"fmt ", _fmt(audio_format, channels, rate, bits)),
+                 (b"data", data))
 
 
 class TestReadWav:
@@ -77,6 +87,20 @@ class TestReadWav:
         good = _wav_bytes(data=b"\x00\x00" * 100)
         path.write_bytes(good[:-50])
         with pytest.raises(CorruptHeaderError):
+            read_wav(path)
+
+    @pytest.mark.parametrize("raw, message", [
+        (_riff((b"data", b"\x00\x00")), "missing fmt chunk"),
+        (_riff((b"fmt ", _fmt())), "missing data chunk"),
+        (_riff((b"fmt ", _fmt()[:14]), (b"data", b"\x00\x00")),
+         "fmt chunk too short"),
+        (_wav_bytes(rate=0), "zero sample rate in header"),
+    ], ids=["no-fmt", "no-data", "short-fmt", "zero-rate"])
+    def test_malformed_container_names_file(self, tmp_path, raw, message):
+        path = tmp_path / "c.wav"
+        path.write_bytes(raw)
+        with pytest.raises(CorruptHeaderError,
+                           match=re.escape(f"{path}: {message}")):
             read_wav(path)
 
     def test_missing_file(self, tmp_path):

@@ -1,5 +1,6 @@
 import json
 import re
+import shutil
 import subprocess
 import sys
 from dataclasses import replace
@@ -8,12 +9,14 @@ import numpy as np
 import pytest
 
 from helpers import (
+    NOT_FEATURES,
     RATE,
     burst_resonant_noise,
     make_wav_corpus,
     mulaw_distort,
     reference_detector,
     resonant_noise,
+    save_npy,
     tone,
 )
 from spoofmeter import (
@@ -140,6 +143,26 @@ class TestTrainScoreEer:
         assert "--seed" in capsys.readouterr().err
         assert main(args) == 0
         assert "# seed: 7\n" in out.read_text()
+
+    @pytest.mark.parametrize("kind", NOT_FEATURES)
+    def test_score_rebuilds_a_cache_entry_that_is_not_features(
+            self, workspace, trained_model, tmp_path, monkeypatch, kind):
+        args = ["score", "--model", str(trained_model),
+                "--eval", str(workspace["eval"])]
+        cold = tmp_path / "cold"
+        monkeypatch.setenv(CACHE_ENV_VAR, str(cold))
+        assert main(args + ["--out", str(tmp_path / "cold.tsv")]) == 0
+        warm = tmp_path / "warm"
+        shutil.copytree(cold, warm)
+        entry = sorted(warm.glob("*.feat"))[0]
+        save_npy(entry, NOT_FEATURES[kind][0])
+        monkeypatch.setenv(CACHE_ENV_VAR, str(warm))
+        assert main(args + ["--out", str(tmp_path / "warm.tsv")]) == 0
+        assert ((tmp_path / "warm.tsv").read_bytes()
+                == (tmp_path / "cold.tsv").read_bytes())
+        assert entry.read_bytes() == (cold / entry.name).read_bytes()
+        assert sorted(p.name for p in warm.iterdir()) == sorted(
+            p.name for p in cold.iterdir())
 
 
 class TestReport:
@@ -669,6 +692,40 @@ class TestErrorHandling:
         assert rc == 2
         assert f"{config}: {message}" in capsys.readouterr().err
         assert extracted == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("config_text, message", [
+        ('{"cqt": {"f_min": 5e-324}}',
+         "cqt: f_max / f_min = 8000.0 / 5e-324 overflows"),
+        # A finite ratio, but a derived grid of about 2**1026 points.
+        ('{"cqt": {"f_min": 1e-304}}',
+         "cannot convert float infinity to integer"),
+        ('{"cqt": {"f_min": 500.0,', "not valid JSON"),
+        ('[{"sample_rate": 16000}]',
+         "top level must be a JSON object, got list"),
+        # The default hop of a hundredth of the rate rounds to 0.
+        ('{"sample_rate": 40}', "sample_rate 40: hop must be >= 1"),
+    ], ids=["ratio-overflows", "grid-overflows", "not-json", "top-level-list",
+            "zero-hop"])
+    def test_bad_run_config_exits_2_naming_file_before_reading_a_wav(
+            self, workspace, tmp_path, capsys, monkeypatch, config_text,
+            message):
+        read = []
+
+        def no_read(*args):
+            read.append(args)
+            raise DataError("reading a WAV is not expected")
+
+        monkeypatch.setattr(features, "read_wav", no_read)
+        config = tmp_path / "ext.json"
+        config.write_text(config_text)
+        out = tmp_path / "m.json"
+        rc = main(["train", "--nat", str(workspace["nat"]),
+                   "--artif", str(workspace["artif"]),
+                   "--config", str(config), "--out", str(out)])
+        assert rc == 2
+        assert f"spoofmeter: {config}: {message}" in capsys.readouterr().err
+        assert read == []
         assert not out.exists()
 
     def test_eer_reads_scores_with_a_byte_order_mark(self, tmp_path):

@@ -1,7 +1,16 @@
+import re
+
 import numpy as np
 import pytest
 
-from helpers import RATE, SMALL_CQT, noise_signal, reference_dct_truncate
+from helpers import (
+    NOT_FEATURES,
+    RATE,
+    SMALL_CQT,
+    noise_signal,
+    reference_dct_truncate,
+    save_npy,
+)
 from spoofmeter import (
     AudioSignal,
     CqccConfig,
@@ -368,3 +377,13 @@ class TestFeatureCache:
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(ValueError):
             read_feature_cache(path)
+
+    @pytest.mark.parametrize("kind", NOT_FEATURES)
+    def test_valid_npy_that_is_not_features_names_file(self, tmp_path, kind):
+        array, reason = NOT_FEATURES[kind]
+        path = tmp_path / "e.feat"
+        save_npy(path, array)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: unreadable feature cache entry")) as info:
+            read_feature_cache(path)
+        assert reason in str(info.value)

@@ -255,6 +255,14 @@ def test_file_that_is_not_utf8_names_file(tmp_path):
         load_model(path)
 
 
+def test_top_level_that_is_not_an_object_names_file(tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text('[{"format_version": 2}]')
+    with pytest.raises(SchemaError, match=re.escape(
+            f"{path}: top level must be a JSON object, got list")):
+        load_model(path)
+
+
 def _drop(key):
     def damage(array_doc):
         del array_doc[key]
