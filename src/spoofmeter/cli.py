@@ -5,19 +5,19 @@ evaluation utterance), ``eer`` (per-system and attack-averaged equal error
 rates), ``report`` (EER joined with machine and, optionally, human opinion
 scores), and ``grid`` (front-end variants crossed with Gaussian counts).
 
-All tabular I/O is TSV under one rule (:mod:`spoofmeter.tables`): blank
-lines and ``#`` lines are skipped anywhere, and the header is the first line
-that is neither. Every output embeds the configuration that produced it in
-leading ``#`` comment lines, with no timestamps, so identical invocations on
-the same machine at the same BLAS thread count produce byte-identical
-artifacts: the front end's matrix products (the direct-form CQT and the DCT
-basis) and EM's round by how BLAS splits them over threads, so features,
-models and scores all follow the thread count. The feature cache's key holds
-no thread count, so with ``SPOOFMETER_CACHE_DIR`` set this holds only for a
-cold cache or one filled at the same count.
-Each output is written beside ``--out`` and renamed over it
-(:func:`spoofmeter.tables.replacing`), so a failed command leaves an earlier
-output as it was.
+All tabular I/O is TSV under one rule (:mod:`spoofmeter.tables`): blank lines
+and ``#`` lines are skipped anywhere, and the header is the first line that is
+neither. Every output table starts with three ``#`` lines and no timestamp:
+``tool:`` (name and version), ``command:`` (subcommand and input flags) and
+``seed:``, recorded but never used, as no step draws random numbers. Identical
+invocations on the same machine at the same BLAS thread count produce
+byte-identical artifacts: the front end's matrix products (the direct-form CQT
+and the DCT basis) and EM's round by how BLAS splits them over threads, so
+features, models and scores all follow the thread count. The feature cache's
+key holds no thread count, so with ``SPOOFMETER_CACHE_DIR`` set this holds only
+for a cold cache or one filled at the same count. Each output is written beside
+``--out`` and renamed over it (:func:`spoofmeter.tables.replacing`), so a
+failed command leaves an earlier output as it was.
 
 The run configuration (``--config``) is a JSON object with the optional
 keys ``sample_rate``, ``cqt``, ``cqcc`` and ``gmm``. The keys of the last
@@ -115,8 +115,9 @@ def load_run_config(path=None):
     CQCCs without normalization, and 2048 Gaussians per class. ``f_max``
     defaults to Nyquist, ``f_min`` to nine octaves below the ``f_max`` in
     effect, and ``hop`` to a hundredth of the rate. A front end that cannot
-    run (see :class:`~spoofmeter.features.FeatureConfig`, which checks it) is
-    an error naming the file, before any WAV is read.
+    run (see :class:`~spoofmeter.features.FeatureConfig`, which checks it),
+    or a number it cannot lay out, is a :class:`ConfigError` naming the
+    file, before any manifest or WAV is read.
     """
     doc = {} if path is None else read_json_object(path)
     where = str(path)
@@ -128,6 +129,8 @@ def load_run_config(path=None):
         defaults = to_doc(default_feature_config(rate))
     except ConfigError as exc:
         raise ConfigError(f"{where}: sample_rate {rate}: {exc}") from exc
+    except OverflowError as exc:  # beyond a float
+        raise ConfigError(f"{where}: sample_rate: {exc}") from exc
     cqt = doc.get("cqt")
     if isinstance(cqt, dict) and "f_max" in cqt:
         f_max = checked(cqt["f_max"], float, f"{where}: cqt: f_max")
@@ -157,15 +160,26 @@ def parse_variant(token: str) -> dict:
 # Commands
 # ---------------------------------------------------------------------------
 
+def _header(command: str, seed="0") -> tuple:
+    """The leading ``#`` lines of an output table."""
+    return (f"tool: spoofmeter {__version__}", f"command: {command}",
+            f"seed: {seed}")
+
+
+def _with_gaussians(gmm_config, value, command: str) -> GmmTrainConfig:
+    """``gmm_config`` at ``value`` Gaussians; a bad count is a usage error."""
+    try:
+        return replace(gmm_config, target_components=int(value))
+    except (ValueError, ConfigError) as exc:
+        raise UsageError(f"{command}: bad --gaussians value ({exc})") from None
+
+
 def _cmd_train(args) -> int:
     feature_config, gmm_config = load_run_config(args.config)
     if args.seed is not None:
         gmm_config = replace(gmm_config, seed=args.seed)
     if args.gaussians is not None:
-        try:
-            gmm_config = replace(gmm_config, target_components=args.gaussians)
-        except ConfigError as exc:
-            raise UsageError(f"train: bad --gaussians value ({exc})") from None
+        gmm_config = _with_gaussians(gmm_config, args.gaussians, "train")
 
     nat = parse_manifest(args.nat)
     artif = parse_manifest(args.artif)
@@ -180,11 +194,9 @@ def _cmd_score(args) -> int:
     model = load_model(args.model)
     manifest = parse_manifest(args.eval)
     scores = score_batch(model, manifest)
-    write_score_file(scores, args.out, comments=(
-        f"tool: spoofmeter {__version__}",
-        f"command: score --model {args.model} --eval {args.eval}",
-        f"seed: {model.metadata.get('seed', '0')}",
-    ))
+    write_score_file(scores, args.out, comments=_header(
+        f"score --model {args.model} --eval {args.eval}",
+        model.metadata.get("seed", "0")))
     print(f"scored {len(scores)} utterances -> {args.out}")
     return 0
 
@@ -202,11 +214,8 @@ def _cmd_eer(args) -> int:
     # Every system shares the bona fide population; the spoof trials add up.
     rows.append((AVERAGE_ROW_ID, summary.average_percent, "-", rows[-1][3],
                  sum(row[4] for row in rows)))
-    write_table(args.out, _EER_HEADER, rows, (
-        f"tool: spoofmeter {__version__}",
-        f"command: eer --scores {args.scores}",
-        "seed: 0",
-    ))
+    write_table(args.out, _EER_HEADER, rows,
+                _header(f"eer --scores {args.scores}"))
     print(f"attack-averaged EER {summary.average_percent:.2f}% over "
           f"{len(summary.per_attack)} system(s) -> {args.out}")
     return 0
@@ -237,12 +246,9 @@ def _cmd_report(args) -> int:
         if mos_map is not None:
             row.append(mos_map.get(system, "-"))
         rows.append(row)
-    write_table(args.out, header, rows, (
-        f"tool: spoofmeter {__version__}",
-        f"command: report --eer {args.eer}"
-        + (f" --opinions {args.opinions}" if args.opinions else ""),
-        "seed: 0",
-    ))
+    write_table(args.out, header, rows, _header(
+        f"report --eer {args.eer}"
+        + (f" --opinions {args.opinions}" if args.opinions else "")))
     print(f"report for {len(rows)} system(s) -> {args.out}")
     return 0
 
@@ -289,14 +295,11 @@ def _cmd_grid(args) -> int:
     # A repeated cell would train again and write the same row twice.
     if len({tuple(f.values()) for f in variant_flags.values()}) < len(variants):
         raise UsageError("grid: --variants repeats a variant")
-    try:
-        cell_gmms = [replace(gmm_config, target_components=int(c))
-                     for c in args.gaussians.split(",") if c.strip()]
-    except (ValueError, ConfigError) as exc:
-        raise UsageError(f"grid: bad --gaussians value ({exc})") from None
-    if not cell_gmms:
+    counts = [_with_gaussians(gmm_config, c, "grid").target_components
+              for c in args.gaussians.split(",") if c.strip()]
+    if not counts:
         raise UsageError("grid: --gaussians is empty")
-    if len({g.target_components for g in cell_gmms}) < len(cell_gmms):
+    if len(set(counts)) < len(counts):
         raise UsageError("grid: --gaussians repeats a count")
     cmvn_settings = {"raw": [False], "cmvn": [True],
                      "both": [False, True]}[args.cmvn]
@@ -315,14 +318,13 @@ def _cmd_grid(args) -> int:
         raise NoSpoofSystemsError(
             f"{args.eval}: evaluation manifest has no spoof rows")
 
-    counts = [g.target_components for g in cell_gmms]
     static_memo = {}
     rows = []
     for variant in variants:
         for use_cmvn in cmvn_settings:
             cqcc = replace(feature_config.cqcc, apply_cmvn=use_cmvn,
                            **variant_flags[variant])
-            config = replace(feature_config, cqcc=cqcc).pinned()
+            config = replace(feature_config, cqcc=cqcc)
             mode = "cmvn" if use_cmvn else "raw"
             cells = _grid_cells(nat, artif, eval_manifest, config, gmm_config,
                                 counts, static_memo)
@@ -334,14 +336,11 @@ def _cmd_grid(args) -> int:
                     value = "failed"
                 rows.append((variant, mode, n_components, value))
 
+    command = (f"grid --nat {args.nat} --artif {args.artif} --eval {args.eval}"
+               f" --variants {args.variants} --gaussians {args.gaussians}"
+               f" --cmvn {args.cmvn}")
     write_table(args.out, ("variant", "cmvn", "gaussians", "eer_percent"),
-                rows, (
-        f"tool: spoofmeter {__version__}",
-        f"command: grid --nat {args.nat} --artif {args.artif} "
-        f"--eval {args.eval} --variants {args.variants} "
-        f"--gaussians {args.gaussians} --cmvn {args.cmvn}",
-        f"seed: {gmm_config.seed}",
-    ))
+                rows, _header(command, gmm_config.seed))
     print(f"grid of {len(rows)} cell(s) -> {args.out}")
     return 0
 

@@ -71,7 +71,10 @@ def checked(value, hint, where):
     if (isinstance(value, bool) != (hint is bool)
             or not isinstance(value, _ACCEPTED[hint])):
         raise ConfigError(f"{where} must be {hint.__name__}, got {value!r}")
-    return float(value) if hint is float else value
+    try:
+        return float(value) if hint is float else value
+    except OverflowError:  # an int beyond the float range
+        raise ConfigError(f"{where}: float out of range") from None
 
 
 def from_doc(cls, doc, where, defaults=None, **outside_doc):
@@ -95,7 +98,8 @@ def from_doc(cls, doc, where, defaults=None, **outside_doc):
                 None if defaults is None else defaults[name])
         else:
             values[name] = checked(value, hints[name], f"{where}: {name}")
+    # Also a size beyond a float, or CQT bins beyond any array or memory.
     try:
         return cls(**values, **outside_doc)
-    except (ConfigError, OverflowError) as exc:  # sizes beyond a float
+    except (ConfigError, OverflowError, ValueError, MemoryError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc

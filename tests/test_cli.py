@@ -467,6 +467,20 @@ class TestDefaultFrontEnd:
 
 
 class TestErrorHandling:
+    @pytest.fixture
+    def wav_reads(self, monkeypatch):
+        """The calls of a ``features.read_wav`` that fails on every call,
+        with the feature cache off, so that any WAV ``train`` reads shows."""
+        read = []
+
+        def no_read(*args):
+            read.append(args)
+            raise DataError("reading a WAV is not expected")
+
+        monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+        monkeypatch.setattr(features, "read_wav", no_read)
+        return read
+
     def test_usage_error_exits_1(self, capsys):
         assert main(["train", "--nat", "x.tsv"]) == 1
         assert "required" in capsys.readouterr().err
@@ -578,6 +592,40 @@ class TestErrorHandling:
             assert flag in capsys.readouterr().err
             assert not out.exists()
 
+    @pytest.mark.parametrize("command, variants, gaussians, message", [
+        ("grid", "z+z", "2",
+         "bad --variants value (duplicate component 'z' in 'z+z')"),
+        ("grid", ",", "2", "--variants is empty"),
+        ("grid", "stat", ",", "--gaussians is empty"),
+        ("grid", "stat", "2, x",
+         "bad --gaussians value (invalid literal for int() with base 10: "
+         "' x')"),
+        ("grid", "stat", "4, 4", "--gaussians repeats a count"),
+        ("grid", "stat", "2,3", "bad --gaussians value (target_components "
+         "must be a power of two >= 1, got 3)"),
+        ("train", None, "3", "bad --gaussians value (target_components "
+         "must be a power of two >= 1, got 3)"),
+    ], ids=["duplicate-component", "no-variants", "no-counts", "not-a-count",
+            "repeated-count", "grid-not-a-power", "train-not-a-power"])
+    def test_usage_error_exits_1_with_its_message(
+            self, workspace, tmp_path, capsys, monkeypatch, command,
+            variants, gaussians, message):
+        trained = []
+        monkeypatch.setattr(cli, "train_detectors",
+                            lambda *args: trained.append(args))
+        out = tmp_path / "out"
+        argv = [command, "--nat", str(workspace["nat"]),
+                "--artif", str(workspace["artif"]),
+                "--gaussians", gaussians,
+                "--config", str(workspace["config"]), "--out", str(out)]
+        if command == "grid":
+            argv += ["--eval", str(workspace["eval"]), "--variants", variants]
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"spoofmeter: {command}: {message}\n"
+        assert trained == []
+        assert not out.exists()
+
     @pytest.mark.parametrize("broken, keep, error", [
         ("eval", "spoof", EmptyPopulationError),
         ("eval", "bonafide", NoSpoofSystemsError),
@@ -674,15 +722,8 @@ class TestErrorHandling:
          "CQT grid of 1 bin"),
     ], ids=["grid-points", "cqt-bins"])
     def test_too_short_uniform_grid_exits_2_naming_config_before_extraction(
-            self, workspace, tmp_path, capsys, monkeypatch, config_doc,
+            self, workspace, tmp_path, capsys, wav_reads, config_doc,
             message):
-        extracted = []
-
-        def no_extraction(*args, **kwargs):
-            extracted.append(args)
-            raise DataError("extraction is not expected")
-
-        monkeypatch.setattr(features, "extract_features", no_extraction)
         config = tmp_path / "short_grid.json"
         config.write_text(json.dumps(config_doc))
         out = tmp_path / "m.json"
@@ -691,7 +732,20 @@ class TestErrorHandling:
                    "--config", str(config), "--out", str(out)])
         assert rc == 2
         assert f"{config}: {message}" in capsys.readouterr().err
-        assert extracted == []
+        assert wav_reads == []
+        assert not out.exists()
+
+    def test_wav_reads_sees_the_reads_of_a_valid_train(
+            self, workspace, tmp_path, capsys, wav_reads):
+        # The control for the run-config tests: their patch is on the path
+        # ``train`` takes, so a config that passes reaches it.
+        out = tmp_path / "m.json"
+        rc = main(["train", "--nat", str(workspace["nat"]),
+                   "--artif", str(workspace["artif"]),
+                   "--config", str(workspace["config"]), "--out", str(out)])
+        assert rc == 2
+        assert "reading a WAV is not expected" in capsys.readouterr().err
+        assert wav_reads != []
         assert not out.exists()
 
     @pytest.mark.parametrize("config_text, message", [
@@ -705,18 +759,17 @@ class TestErrorHandling:
          "top level must be a JSON object, got list"),
         # The default hop of a hundredth of the rate rounds to 0.
         ('{"sample_rate": 40}', "sample_rate 40: hop must be >= 1"),
+        ('{"cqcc": {"num_ceps": 0}}', "cqcc: num_ceps must be >= 1"),
+        ('{"cqcc": {"resample_period": 0}}',
+         "cqcc: resample_period must be >= 1"),
+        ('{"gmm": {"em_iters_per_stage": 0}}',
+         "gmm: em_iters_per_stage must be >= 1"),
     ], ids=["ratio-overflows", "grid-overflows", "not-json", "top-level-list",
-            "zero-hop"])
+            "zero-hop", "zero-num-ceps", "zero-resample-period",
+            "zero-em-iters"])
     def test_bad_run_config_exits_2_naming_file_before_reading_a_wav(
-            self, workspace, tmp_path, capsys, monkeypatch, config_text,
+            self, workspace, tmp_path, capsys, wav_reads, config_text,
             message):
-        read = []
-
-        def no_read(*args):
-            read.append(args)
-            raise DataError("reading a WAV is not expected")
-
-        monkeypatch.setattr(features, "read_wav", no_read)
         config = tmp_path / "ext.json"
         config.write_text(config_text)
         out = tmp_path / "m.json"
@@ -725,7 +778,33 @@ class TestErrorHandling:
                    "--config", str(config), "--out", str(out)])
         assert rc == 2
         assert f"spoofmeter: {config}: {message}" in capsys.readouterr().err
-        assert read == []
+        assert wav_reads == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("config_text, message", [
+        (f'{{"sample_rate": {10**400}}}',
+         "sample_rate: int too large to convert to float"),
+        (f'{{"cqt": {{"f_min": {10**400}}}}}', "cqt: f_min: float out of range"),
+        (f'{{"cqt": {{"f_max": {10**400}}}}}', "cqt: f_max: float out of range"),
+        # Bins past numpy's largest array, and past any address space: the
+        # grid's center frequencies are never allocated.
+        (f'{{"cqt": {{"bins_per_octave": {2**63}}}}}', ""),
+        (f'{{"cqt": {{"bins_per_octave": {2**50}}}}}', ""),
+    ], ids=["sample-rate", "f-min", "f-max", "bins-2**63", "bins-2**50"])
+    def test_number_the_front_end_cannot_lay_out_exits_2_naming_file(
+            self, tmp_path, capsys, wav_reads, config_text, message):
+        config = tmp_path / "huge.json"
+        config.write_text(config_text)
+        out = tmp_path / "m.json"
+        # The manifests do not exist: the config fails before either is read.
+        rc = main(["train", "--nat", str(tmp_path / "nat.tsv"),
+                   "--artif", str(tmp_path / "artif.tsv"),
+                   "--config", str(config), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"spoofmeter: {config}: {message}")
+        assert "0" * 100 not in err
+        assert wav_reads == []
         assert not out.exists()
 
     def test_eer_reads_scores_with_a_byte_order_mark(self, tmp_path):
@@ -750,6 +829,28 @@ class TestErrorHandling:
         out = tmp_path / "eer.tsv"
         assert main(["eer", "--scores", str(scores), "--out", str(out)]) == 2
         assert str(scores) in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, text, message", [
+        ("train", "utt_id\tpath\tlabel\tsystem_id\n\tx.wav\tbonafide\t-\n",
+         "line 2: empty utt_id"),
+        ("score", '{"metadata": {}}', "missing format_version"),
+        ("eer", "utt_id\tlabel\tsystem_id\tllr\nu0\tbonafide\t-\t0.5\n"
+         "u1\tspoof\tsysA\tnan\n", "line 3: scores must be finite"),
+    ], ids=["empty-utt-id", "no-format-version", "nan-score"])
+    def test_bad_input_exits_2_with_its_message(
+            self, workspace, tmp_path, capsys, command, text, message):
+        bad = tmp_path / "bad"
+        bad.write_text(text)
+        argv = {
+            "train": ["--nat", str(bad), "--artif", str(workspace["artif"])],
+            "score": ["--model", str(bad), "--eval", str(workspace["eval"])],
+            "eer": ["--scores", str(bad)],
+        }[command]
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main([command, *argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"spoofmeter: {bad}: {message}\n"
         assert not out.exists()
 
     def test_report_eer_out_of_range_exits_2_naming_line(self, tmp_path,

@@ -16,14 +16,17 @@ from spoofmeter import (
     GmmTrainConfig,
     avg_log_likelihood,
     extract_features,
+    features,
     llr_score,
     parse_manifest,
     read_score_file,
+    read_wav,
     save_model,
     score_batch,
     train_detector,
     write_score_file,
 )
+from spoofmeter.audio_io import resample
 from spoofmeter.config import to_doc
 from spoofmeter.detector import CACHE_ENV_VAR, train_detectors
 from spoofmeter.errors import (
@@ -94,7 +97,6 @@ class TestTrainDetector:
             tmp_path / "a", rng, HIGH_BAND, "spoof", "vcX", 2, "a"))
         model = train_detector(nat, art, FEATURE_CONFIG,
                                GmmTrainConfig(target_components=1))
-        from spoofmeter import read_wav
         pooled = np.vstack([
             extract_features(model.feature_config, read_wav(e.path)).frames
             for e in nat
@@ -451,6 +453,55 @@ class TestTrainDetectors:
             else:
                 assert isinstance(models[count], DetectorModel)
         assert failed == (2 if case == "few" else len(counts))
+
+
+class TestOtherSampleRates:
+    """WAVs away from the operating rate are resampled on the way to their
+    features, on the scoring path and into the feature cache alike."""
+
+    RATES = (8000, 22050, 44100)
+
+    @pytest.fixture()
+    def mixed(self, trained, tmp_path):
+        model, _, _ = trained
+        rng = np.random.default_rng(53)
+        # A quarter second each, as the 16 kHz eval files are.
+        manifest = parse_manifest(make_wav_corpus(tmp_path / "mixed", [
+            (f"r{rate}", "bonafide", "-",
+             resonant_noise(rng, rate // 4, rate=rate, freq_range=LOW_BAND))
+            for rate in self.RATES]))
+        expected = [extract_features(model.feature_config, read_wav(e.path))
+                    for e in manifest]
+        return model, manifest, expected
+
+    def test_score_batch_equals_extraction_after_reading(self, mixed,
+                                                        monkeypatch):
+        model, manifest, expected = mixed
+        resampled = []
+
+        def recording_resample(signal, rate):
+            resampled.append((signal.sample_rate, rate))
+            return resample(signal, rate)
+
+        monkeypatch.setattr(features, "resample", recording_resample)
+        assert [r.llr for r in score_batch(model, manifest).records] \
+            == [llr_score(model, feats) for feats in expected]
+        assert resampled == [(rate, RATE) for rate in self.RATES]
+
+    def test_cache_entries_equal_extraction_after_reading(
+            self, mixed, tmp_path, monkeypatch):
+        model, manifest, expected = mixed
+        cache = tmp_path / "cache"
+        monkeypatch.setenv(CACHE_ENV_VAR, str(cache))
+        scores = score_batch(model, manifest)
+        assert [r.llr for r in scores.records] \
+            == [llr_score(model, feats) for feats in expected]
+        assert len(list(cache.glob("*.feat"))) == len(self.RATES)
+        for entry, feats in zip(manifest, expected):
+            key = _cache_key(model.feature_config, entry.path)
+            cached = read_feature_cache(cache / f"{key}.feat")
+            assert cached.frames.shape == feats.frames.shape
+            assert cached.frames.tobytes() == feats.frames.tobytes()
 
 
 def test_helpers_config_sanity():
