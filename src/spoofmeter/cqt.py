@@ -16,18 +16,23 @@ products, chosen from its window length N_k alone:
 - Band form, for long windows, as in the nonstationary-Gabor CQT (Velasco et
   al., 2011) with kernel spectra as in Brown & Puckette (1992): one FFT of
   the whole signal is shared by all bins; each bin evaluates its kernel's
-  DFT in closed form on a band of O(L / N_k) DFT bins around f_k, folds it
-  onto the frame grid and takes one short inverse FFT. Over the whole
-  spectrum it is exact; the band cut drops only the kernel's far sidelobes.
+  DFT in closed form on a band of O(L / N_k) DFT bins around f_k and folds
+  it onto the frame grid, and each block of bins takes one inverse FFT.
+  The closed form's sines come from phasor runs (:func:`_phasor_run`), not
+  from ``np.sin`` over the band; the few points near a zero of its
+  denominators take exact sines. Over the whole spectrum the band form is
+  exact; the band cut drops only the kernel's far sidelobes.
 
 At the reference grid (96 bins per octave over 9 octaves, 8.9 s at 16 kHz)
-a per-bin direct form alone took 36-40 s and the mixture takes well under
-1 s. The direct form stays for short windows because there the band, ±80
-main-lobe spacings, spans thousands of DFT bins and costs more than the
-window itself. The blocks batch direct bins by zero-padding each kernel to
-the blocks its window touches, not by shared window lengths: the unrounded
-lengths of adjacent bins differ by ``rate / f_(k+1)``, more than 2 samples
-below Nyquist, so no two bins ever share one. As in Brown & Puckette (1992),
+a per-bin direct form alone took 36-40 s. On a 2-vCPU Xeon the mixture
+takes 0.11-0.13 s, of which the band form is 0.08-0.11 s (0.25-0.34 s with
+six sines per band point). The direct form stays for short windows because
+there the band, ±80 main-lobe spacings, spans thousands of DFT bins and
+costs more than the window itself. The blocks batch direct bins by
+zero-padding each kernel to the blocks its window touches, not by shared
+window lengths: the unrounded lengths of adjacent bins differ by
+``rate / f_(k+1)``, more than 2 samples below Nyquist, so no two bins ever
+share one. As in Brown & Puckette (1992),
 the kernels are computed once per analysis grid and sample rate and cached,
 not once per signal.
 """
@@ -70,6 +75,22 @@ _BAND_HALF_WIDTH = 80
 # tests, whose bin-0 window is 4369 samples, without band-form bins.
 _BAND_MIN_WINDOW = 3000
 
+# Below this N |sin(pi (u + a))|, a band point's kernel takes _dirichlet at
+# the exact u, where the phasor form could err by 1e-15 / 1e-3 = 1e-12 of
+# its peak (see _band_kernel). That is 38-64 of the 2.06 M band points of an
+# 8.9-12 s reference-grid CQT, and keeps its magnitudes within 6e-14 of each
+# bin's maximum of the per-bin sines' (3.4e-13 at 1e-4; 2.7e-12 at 0).
+_NEAR_ZERO = 1e-3
+
+# Most bins a grid may have, 152 times the default 864, checked from the
+# closed-form count so that a mistyped grid fails before any per-bin array
+# is built: 1e8 bins per octave (9e8 bins, 7.2 GB per float64 array) was
+# killed for memory instead. At the cap a 9 s spectrogram is already 0.9 GB.
+_MAX_BINS = 2 ** 17
+
+# Band-form bins folded and inverse transformed per scipy.fft.ifft call.
+_BAND_BLOCK = 64
+
 # Frames per pass of the direct form's block products. It bounds the
 # accumulator and each product to a few MB at the reference grid.
 _DIRECT_FRAMES = 256
@@ -102,6 +123,9 @@ class CqtConfig:
         if not math.isfinite(self.f_max / self.f_min):
             raise ConfigError(
                 f"f_max / f_min = {self.f_max} / {self.f_min} overflows")
+        if self.n_bins > _MAX_BINS:
+            raise ConfigError(f"grid of {self.n_bins} bins exceeds the "
+                              f"limit of {_MAX_BINS}")
 
     def check_nyquist(self, sample_rate) -> None:
         """:class:`ConfigError` unless ``f_max`` is within Nyquist."""
@@ -174,36 +198,141 @@ def _dirichlet(u: np.ndarray, n: int) -> np.ndarray:
     return ratio
 
 
-def _band_column(spectrum: np.ndarray, n_fold: int, win_len: int,
-                 freq_per_sample: float, n_frames: int) -> np.ndarray:
-    """One bin's magnitudes from ``spectrum``, the length-L FFT of the signal.
+def _phasor_run(n: int, size: int, width: int, scale: complex = 1.0) -> np.ndarray:
+    """``scale * exp(1j pi n j / size)`` for ``j < width``; n, size integers.
 
-    The conjugate kernel gives the same magnitudes. Its DFT at bin q is
-    ``exp(1j pi q (N - 1) / L)`` times three Dirichlet kernels, at
-    ``u = q / L - f_k / rate`` and ``u +- 1 / (N - 1)`` (``np.hanning(N) / N``
-    is a sum of three complex exponentials). It is evaluated on the
-    ``2 * _BAND_HALF_WIDTH * L / N`` bins q nearest ``f_k * L / rate``; N >= 4
-    keeps every u within (-1, 1). Frame t's window starts at
-    ``t * hop - N // 2``, so with that phase only a half-sample ramp is left,
-    for even N. As ``L = M * hop``, frame t is
-    ``(1/L) sum_q Y[q] G[q] exp(2j pi q t / M)``: the band folded modulo M,
-    one length-M inverse FFT, times M / L.
+    The outer product of two tables of about ``sqrt(width)`` phasors, at
+    ``j = a * cols + b``: about ``2 sqrt(width)`` complex exponentials in
+    place of ``width``. Each table angle is reduced modulo 2 pi in integers,
+    ``(n j) mod 2 size``, so the run is within about 1e-15 of exact however
+    large ``n j / size`` grows, where ``np.exp`` of the unreduced angle errs
+    in proportion to it.
+    """
+    cols = math.isqrt(width - 1) + 1
+    rows = -(-width // cols)
+    j = np.arange(cols + rows)
+    j[cols:] = cols * j[:rows]
+    table = np.exp(1j * np.pi * (n * j % (2 * size)) / size)
+    return np.multiply.outer(table[cols:] * scale, table[:cols]).reshape(-1)[:width]
+
+
+def _band_kernel(win_len: int, freq_per_sample: float, q_c: int, size: int,
+                 shift_re: np.ndarray, shift_im: np.ndarray) -> np.ndarray:
+    """One bin's kernel spectrum, without its phase, on its band: the DFT
+    bins ``q = q_c + m`` for ``m >= -(width // 2)``, ``width = len(shift_re)``.
+
+    Up to the phase ``exp(1j pi q (N - 1) / L)``, the DFT of the conjugate
+    kernel (same magnitudes) at q is ``sum_a c_a D_N(u + a) / N`` with
+    ``u = q / L - f_k / rate``, ``D_N(x) = sin(pi N x) / sin(pi x)`` and
+    ``(a, c_a)`` in ``(0, 1/2)``, ``(+-1 / (N - 1), 1/4)``:
+    ``np.hanning(N) / N`` is a sum of three complex exponentials. N >= 4
+    keeps every ``u + a`` within (-1, 1).
+
+    No sine is taken over the band. ``shift_re`` and ``shift_im`` hold
+    ``exp(1j pi m / L)`` over it, so ``sin(pi (u + a))`` is
+    ``Im(exp(1j pi (u_c + a)) exp(1j pi m / L))`` with ``u_c`` the u of
+    ``q_c``. As ``N / (N - 1) = 1 + 1 / (N - 1)``, the three numerators are
+    real combinations of ``exp(1j pi N u)``, one :func:`_phasor_run`.
+
+    Near a zero of a denominator the ratio loses accuracy: the numerator
+    carries an absolute error of about 1e-15 that the denominator does not
+    share, so the kernel errs by about ``1e-15 / (N |sin(pi (u + a))|)`` of
+    its peak. Points with ``N |sin(pi (u + a))| < _NEAR_ZERO`` therefore
+    take :func:`_dirichlet` at the exact u. Exact zeros, which the products
+    miss by about 1e-17, are common: a band point sits on ``u = 0`` whenever
+    ``f_k L / rate`` is an integer.
+    """
+    width = len(shift_re)
+    centre = width // 2
+    u_c = q_c / size - freq_per_sample
+    step = 1.0 / (win_len - 1)
+    # sin(pi N (u +- step)) = -Im(exp(1j pi N u) exp(+-1j pi step)).
+    phase = win_len * u_c - (win_len * centre % (2 * size)) / size
+    p = _phasor_run(win_len, size, width, np.exp(1j * np.pi * phase))
+    even = p.imag * -math.cos(math.pi * step)
+    odd = p.real * -math.sin(math.pi * step)
+
+    def denominator(a, scale):  # scale * sin(pi (u + a))
+        angle = math.pi * (u_c + a)
+        return ((scale * math.sin(angle)) * shift_re
+                + (scale * math.cos(angle)) * shift_im)
+
+    # Denominators scaled by N / c_a, so that the kernel is a plain sum.
+    with np.errstate(divide="ignore", invalid="ignore"):  # exact zeros
+        kernel = p.imag / denominator(0.0, 2.0 * win_len)
+        plus = even + odd
+        plus /= denominator(step, 4.0 * win_len)
+        kernel += plus
+        even -= odd
+        even /= denominator(-step, 4.0 * win_len)
+        kernel += even
+
+    # |sin(pi x)| >= 2 |x| for |x| <= 1/2, so only points within
+    # _NEAR_ZERO * L / (2 N) DFT bins of a zero can fall below the threshold.
+    radius = _NEAR_ZERO * size / (2 * win_len)
+    near = []
+    for a in (0.0, step, -step):
+        zero = centre - (u_c + a) * size  # where sin(pi (u + a)) = 0
+        near += range(max(math.ceil(zero - radius), 0),
+                      min(math.floor(zero + radius) + 1, width))
+    if near:
+        u = (q_c - centre + np.array(near)) / size - freq_per_sample
+        kernel[near] = (0.5 * _dirichlet(u, win_len)
+                        + 0.25 * (_dirichlet(u + step, win_len)
+                                  + _dirichlet(u - step, win_len))) / win_len
+    return kernel
+
+
+def _band_form(spectrum: np.ndarray, n_fold: int, lengths: np.ndarray,
+               freqs_per_sample: np.ndarray, out: np.ndarray) -> None:
+    """Band-form magnitudes of the bins of window ``lengths`` into the
+    columns of ``out``, from ``spectrum``, the length-L FFT of the signal.
+
+    Each bin's kernel (:func:`_band_kernel`) is evaluated on the
+    ``2 * ceil(_BAND_HALF_WIDTH * L / N) + 1`` DFT bins q nearest
+    ``f_k L / rate`` (at most L), a slice of the spectrum unless it wraps.
+    Frame t's window starts at ``t * hop - N // 2``, so with the kernel's
+    phase only a half-sample ramp ``exp(-1j pi q / L)`` is left, for even N.
+    Up to a constant phase, which the magnitude drops, it is
+    ``conj(exp(1j pi m / L))`` at ``q = q_c + m``, from the run that every
+    bin's kernel shares. As ``L = M * hop``, frame t is
+    ``(1/L) sum_q Y[q] G[q] exp(2j pi q t / M)``: the band folded modulo M
+    (padded to whole rows of M and summed), then a length-M inverse FFT,
+    ``_BAND_BLOCK`` bins per call, times M / L.
     """
     size = len(spectrum)
-    width = min(2 * math.ceil(_BAND_HALF_WIDTH * size / win_len) + 1, size)
-    q = round(freq_per_sample * size) - width // 2 + np.arange(width)
-    u = q / size - freq_per_sample
-    step = 1.0 / (win_len - 1)
-    kernel = (0.5 * _dirichlet(u, win_len)
-              + 0.25 * (_dirichlet(u + step, win_len)
-                        + _dirichlet(u - step, win_len))) / win_len
-    band = spectrum[q % size] * kernel
-    if win_len % 2 == 0:
-        band *= np.exp(-1j * np.pi * q / size)
-    fold = q % n_fold
-    folded = (np.bincount(fold, band.real, n_fold)
-              + 1j * np.bincount(fold, band.imag, n_fold))
-    return np.abs(scipy.fft.ifft(folded)[:n_frames]) * (n_fold / size)
+    widths = np.minimum(2 * np.ceil(_BAND_HALF_WIDTH * size / lengths) + 1,
+                        size).astype(int)
+    # exp(1j pi m / L) for |m| <= half, shared by every band bin.
+    half = int(widths.max()) // 2
+    shift = _phasor_run(1, size, half + 1)
+    shift = np.concatenate([shift[:0:-1].conj(), shift])
+    shift_re, shift_im, ramp = shift.real.copy(), shift.imag.copy(), shift.conj()
+    n_frames, n_bins = out.shape
+    for k0 in range(0, n_bins, _BAND_BLOCK):
+        folded = np.zeros((min(_BAND_BLOCK, n_bins - k0), n_fold), dtype=complex)
+        for i, row in enumerate(folded):
+            win_len, width = int(lengths[k0 + i]), int(widths[k0 + i])
+            centre = width // 2
+            q_c = round(freqs_per_sample[k0 + i] * size)
+            band = slice(half - centre, half - centre + width)
+            kernel = _band_kernel(win_len, freqs_per_sample[k0 + i], q_c, size,
+                                  shift_re[band], shift_im[band])
+            q0 = q_c - centre
+            start = q0 % n_fold
+            padded = np.zeros(-(-(start + width) // n_fold) * n_fold,
+                              dtype=complex)
+            spread = padded[start:start + width]
+            if 0 <= q0 and q0 + width <= size:
+                np.multiply(spectrum[q0:q0 + width], kernel, out=spread)
+            else:  # only a band of (nearly) the whole spectrum wraps
+                np.multiply(np.take(spectrum, range(q0, q0 + width), mode="wrap"),
+                            kernel, out=spread)
+            if win_len % 2 == 0:
+                spread *= ramp[band]
+            np.sum(padded.reshape(-1, n_fold), axis=0, out=row)
+        rows = scipy.fft.ifft(folded, axis=1)[:, :n_frames]
+        out[:, k0:k0 + len(folded)] = np.abs(rows).T * (n_fold / size)
 
 
 @dataclass(frozen=True)
@@ -270,7 +399,7 @@ def cqt_spectrogram(signal: AudioSignal, config: CqtConfig) -> CqtSpectrogram:
     to be at least as long as the bin-0 window.
 
     Bins with ``N_k >= _BAND_MIN_WINDOW`` take the band form
-    (:func:`_band_column`) from one FFT of the signal zero padded to
+    (:func:`_band_form`) from one FFT of the signal zero padded to
     ``L = M * hop``, M the next fast FFT length of the frame count that
     covers the padded signal. Shorter bins take the direct form: the signal,
     zero padded and cut into rows of ``hop`` samples, times the kernel blocks
@@ -315,9 +444,8 @@ def cqt_spectrogram(signal: AudioSignal, config: CqtConfig) -> CqtSpectrogram:
         padded_len = len(signal) + 2 * (longest // 2 + 2)
         n_fold = scipy.fft.next_fast_len(-(-padded_len // hop))
         spectrum = scipy.fft.fft(signal.samples, n_fold * hop)
-        for k in range(plan.first):
-            magnitudes[:, k] = _band_column(spectrum, n_fold, int(lengths[k]),
-                                            freqs[k] / rate, n_frames)
+        _band_form(spectrum, n_fold, lengths[:plan.first],
+                   freqs[:plan.first] / rate, magnitudes[:, :plan.first])
 
     return CqtSpectrogram(
         magnitudes=magnitudes,

@@ -45,7 +45,7 @@ DELTA_WINDOW = 2
 
 # Part of every feature cache key. Bump it whenever extraction output changes,
 # even in the last bits, so that entries an older front end wrote are rebuilt.
-_FRONTEND_REVISION = 6
+_FRONTEND_REVISION = 7
 
 
 @dataclass(frozen=True)

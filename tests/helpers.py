@@ -1,9 +1,11 @@
 """Shared fixtures-in-code for the test suite: WAV writing, synthetic signals,
 and reference formulas kept as oracles."""
 
+import math
 import wave
 
 import numpy as np
+import scipy.fft
 from scipy.fft import dct
 from scipy.signal import lfilter
 from scipy.special import logsumexp
@@ -11,6 +13,7 @@ from scipy.special import logsumexp
 import spoofmeter
 from spoofmeter import (AudioSignal, CqccConfig, CqtConfig, DetectorModel,
                         FeatureConfig, extract_features, read_wav, train_gmm)
+from spoofmeter import cqt
 from spoofmeter.errors import DegenerateDataError, TooFewFramesError
 
 RATE = 16000
@@ -209,6 +212,29 @@ def reference_dct_truncate(uniform_log_spec, num_ceps, include_zeroth):
     lo = 0 if include_zeroth else 1
     return dct(np.asarray(uniform_log_spec, dtype=np.float64), type=2,
                norm="ortho", axis=1)[:, lo:num_ceps + 1]
+
+
+def reference_band_column(spectrum, n_fold, win_len, freq_per_sample,
+                           n_frames):
+    """One band-form bin's magnitudes with three ``cqt._dirichlet`` calls over
+    its band: the per-bin form ``cqt_spectrogram`` used before its phasor
+    runs, with the same band, fold and scaling. An oracle for the phasor
+    kernel, not a second code path."""
+    size = len(spectrum)
+    width = min(2 * math.ceil(cqt._BAND_HALF_WIDTH * size / win_len) + 1, size)
+    q = round(freq_per_sample * size) - width // 2 + np.arange(width)
+    u = q / size - freq_per_sample
+    step = 1.0 / (win_len - 1)
+    kernel = (0.5 * cqt._dirichlet(u, win_len)
+              + 0.25 * (cqt._dirichlet(u + step, win_len)
+                        + cqt._dirichlet(u - step, win_len))) / win_len
+    band = spectrum[q % size] * kernel
+    if win_len % 2 == 0:
+        band *= np.exp(-1j * np.pi * q / size)
+    fold = q % n_fold
+    folded = (np.bincount(fold, band.real, n_fold)
+              + 1j * np.bincount(fold, band.imag, n_fold))
+    return np.abs(scipy.fft.ifft(folded)[:n_frames]) * (n_fold / size)
 
 
 def reference_joint_log_likelihoods(frames, weights, means, variances):

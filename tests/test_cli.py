@@ -786,11 +786,16 @@ class TestErrorHandling:
          "sample_rate: int too large to convert to float"),
         (f'{{"cqt": {{"f_min": {10**400}}}}}', "cqt: f_min: float out of range"),
         (f'{{"cqt": {{"f_max": {10**400}}}}}', "cqt: f_max: float out of range"),
-        # Bins past numpy's largest array, and past any address space: the
-        # grid's center frequencies are never allocated.
+        # Bins past numpy's largest array, past any address space, and past
+        # the memory of a typical machine (about 9e8 bins, 7.2 GB per float64
+        # array): the bin-count cap stops each before its center frequencies
+        # are allocated.
         (f'{{"cqt": {{"bins_per_octave": {2**63}}}}}', ""),
         (f'{{"cqt": {{"bins_per_octave": {2**50}}}}}', ""),
-    ], ids=["sample-rate", "f-min", "f-max", "bins-2**63", "bins-2**50"])
+        ('{"cqt": {"bins_per_octave": 100000000}}',
+         "cqt: grid of 900000000 bins exceeds the limit of 131072"),
+    ], ids=["sample-rate", "f-min", "f-max", "bins-2**63", "bins-2**50",
+            "bins-1e8"])
     def test_number_the_front_end_cannot_lay_out_exits_2_naming_file(
             self, tmp_path, capsys, wav_reads, config_text, message):
         config = tmp_path / "huge.json"

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+import scipy.fft
 
 from helpers import (
     MEDIUM_CQT,
     RATE,
     SMALL_CQT,
     noise_signal,
+    reference_band_column,
     resonant_noise,
     tone,
 )
@@ -122,6 +124,56 @@ def test_default_grid_spot_check():
                          naive_magnitudes(signal, config, frames), 2e-4)
 
 
+@pytest.mark.parametrize("seconds, exact_centres", [
+    (8.9, [384, 480]),
+    # M = 1792: every octave bin's f_k L / rate is an integer.
+    (9.0, [0, 96, 192, 288, 384, 480]),
+    (12.0, [288, 384, 480]),
+])
+def test_band_form_matches_the_per_bin_sines(seconds, exact_centres):
+    # Every band bin of the default grid against the per-bin form with three
+    # _dirichlet calls over its band. The listed bins put a band point on
+    # u = 0 exactly, where the phasor kernel needs its near-zero fallback.
+    config = default_cqt_config(RATE)
+    signal = resonant_noise(np.random.default_rng(3), int(seconds * RATE))
+    spec = cqt_spectrogram(signal, config)
+    lengths = config.window_lengths(RATE)
+    first = cqt._direct_plan(config, RATE, cqt._BAND_MIN_WINDOW).first
+    padded_len = len(signal) + 2 * (int(lengths[0]) // 2 + 2)
+    n_fold = scipy.fft.next_fast_len(-(-padded_len // config.hop))
+    spectrum = scipy.fft.fft(signal.samples, n_fold * config.hop)
+    centres = config.center_freqs[:first] * len(spectrum) / RATE
+    assert np.flatnonzero(centres == np.round(centres)).tolist() == exact_centres
+    expected = np.stack([
+        reference_band_column(spectrum, n_fold, int(lengths[k]),
+                              config.center_freqs[k] / RATE, spec.n_frames)
+        for k in range(first)], axis=1)
+    assert_close_per_bin(spec.magnitudes[:, :first], expected, 1e-10)
+
+
+@pytest.mark.parametrize("n, size, width", [
+    (1, 286720, 7617),        # the shared run of a 9.0 s CQT
+    (3012, 286720, 15233),    # the last band bin's numerator run at 9.0 s
+    (3012, 286720, 3969),     # 63**2
+    (141312, 336000, 383),    # bin 0's numerator run at 12 s
+    (141312, 336000, 16),
+    (1, 4096, 4096),          # width = L
+    (539, 4096, 4096),
+    (5, 7, 1),
+])
+def test_phasor_run_matches_exp(n, size, width):
+    step = n / size
+    got = cqt._phasor_run(n, size, width, np.exp(0.3j))
+    # np.exp's error grows with its angle pi * step * j; the run's does not.
+    largest_angle = np.pi * step * (width - 1)
+    np.testing.assert_allclose(
+        got, np.exp(0.3j) * np.exp(1j * np.pi * step * np.arange(width)),
+        rtol=0, atol=1e-15 * (4 + largest_angle))
+    j = np.arange(width)
+    reduced = np.exp(1j * (0.3 + np.pi * (n * j % (2 * size)) / size))
+    np.testing.assert_allclose(got, reduced, rtol=0, atol=4e-15)
+
+
 def test_small_grid_stays_on_the_direct_form(monkeypatch):
     signal = noise_signal(np.random.default_rng(3), 4001)
     shipped = cqt_spectrogram(signal, SMALL_CQT).magnitudes
@@ -211,6 +263,20 @@ def test_f_max_above_nyquist_rejected():
     config = CqtConfig(bins_per_octave=12, f_min=500.0, f_max=9000.0, hop=160)
     with pytest.raises(ConfigError):
         cqt_spectrogram(AudioSignal(np.zeros(8000), RATE), config)
+
+
+def test_bin_count_is_capped_before_any_array_is_built():
+    # 1e8 bins per octave over 9 octaves: 9e8 bins, 7.2 GB per float64 array.
+    with pytest.raises(ConfigError,
+                       match="grid of 900000000 bins exceeds the limit"):
+        CqtConfig(bins_per_octave=10**8, f_min=8000.0 / 2 ** 9,
+                  f_max=8000.0, hop=160)
+    at_cap = CqtConfig(bins_per_octave=cqt._MAX_BINS, f_min=1000.0,
+                       f_max=2000.0, hop=160)
+    assert at_cap.n_bins == cqt._MAX_BINS
+    with pytest.raises(ConfigError, match=f"limit of {cqt._MAX_BINS}"):
+        CqtConfig(bins_per_octave=cqt._MAX_BINS + 1, f_min=1000.0,
+                  f_max=2000.0, hop=160)
 
 
 def test_invalid_config_values():
