@@ -58,7 +58,6 @@ from .config import checked, from_doc, read_json_object, to_doc
 from .cqt import DEFAULT_OCTAVES, DEFAULT_SAMPLE_RATE
 from .detector import (
     DetectorModel,
-    check_not_empty,
     read_score_file,
     score_batch,
     score_batches,
@@ -307,9 +306,7 @@ def _cmd_grid(args) -> int:
     nat = parse_manifest(args.nat)
     artif = parse_manifest(args.artif)
     eval_manifest = parse_manifest(args.eval)
-    # Every cell needs these, so check them once before the first trains.
-    check_not_empty(nat, "natural-speech")
-    check_not_empty(artif, "artificial-speech")
+    # Every cell needs both eval populations: check once, before training.
     labels = {entry.label for entry in eval_manifest}
     if BONAFIDE not in labels:
         raise EmptyPopulationError(
@@ -338,7 +335,8 @@ def _cmd_grid(args) -> int:
 
     command = (f"grid --nat {args.nat} --artif {args.artif} --eval {args.eval}"
                f" --variants {args.variants} --gaussians {args.gaussians}"
-               f" --cmvn {args.cmvn}")
+               f" --cmvn {args.cmvn}"
+               + (f" --config {args.config}" if args.config else ""))
     write_table(args.out, ("variant", "cmvn", "gaussians", "eer_percent"),
                 rows, _header(command, gmm_config.seed))
     print(f"grid of {len(rows)} cell(s) -> {args.out}")

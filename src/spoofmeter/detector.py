@@ -10,8 +10,9 @@ one training path (``train`` and ``grid`` both go through it), takes only the
 two class manifests, so evaluation audio cannot leak into the models by
 construction.
 
-Features come from :func:`~spoofmeter.features.features_for_file`, through
-the feature cache in ``$SPOOFMETER_CACHE_DIR`` when that is set.
+Both reach their features through :func:`_for_each_file`, the one call of
+:func:`~spoofmeter.features.features_for_file`, with the feature cache in
+``$SPOOFMETER_CACHE_DIR`` when that is set.
 """
 
 from __future__ import annotations
@@ -21,8 +22,7 @@ from dataclasses import dataclass, field, replace
 
 from . import __version__
 from .errors import (BatchScoringError, DegenerateDataError,
-                     DimMismatchError, EmptyManifestError, SpoofmeterError,
-                     TooFewFramesError)
+                     DimMismatchError, SpoofmeterError, TooFewFramesError)
 from .features import FeatureConfig, FeatureMatrix, features_for_file
 from .gmm import DiagGmm, GmmTrainConfig, avg_log_likelihood, gmm_stages
 from .manifest import Manifest
@@ -54,41 +54,27 @@ class DetectorModel:
                 f"config yields {self.feature_config.output_dim}")
 
 
-def check_not_empty(manifest: Manifest, name: str) -> None:
-    """Raise :class:`EmptyManifestError`, naming the file if known, for no rows."""
-    if len(manifest) == 0:
-        where = f"{manifest.source_path}: " if manifest.source_path else ""
-        raise EmptyManifestError(f"{where}{name} manifest is empty")
+def _for_each_file(manifest: Manifest, config: FeatureConfig,
+                   static_memo: dict | None, per_file) -> list:
+    """``per_file(entry, feats)`` of every row, in order, with its features.
 
-
-def _for_each_file(manifest: Manifest, name: str, per_file) -> list:
-    """``per_file(entry)`` for every row, in order; one error names every failure.
-
-    Silently skipping files would bias the models and the error rates.
+    ``feats`` comes from :func:`~spoofmeter.features.features_for_file` per
+    ``config``, with ``static_memo``. Each file is handled before the next
+    is read. One error names every failure: silently skipping files would
+    bias the models and the error rates.
     """
-    check_not_empty(manifest, name)
+    cache_dir = os.environ.get(CACHE_ENV_VAR) or None
     results = []
     failures = []
     for entry in manifest:
         try:
-            results.append(per_file(entry))
+            results.append(per_file(entry, features_for_file(
+                config, entry.path, entry.utt_id, cache_dir, static_memo)))
         except Exception as exc:
             failures.append((entry.utt_id, entry.path, exc))
     if failures:
         raise BatchScoringError(failures)
     return results
-
-
-def _pooled_frames(manifest: Manifest, name: str, config: FeatureConfig,
-                   static_memo: dict | None) -> np.ndarray:
-    # Every row's features stacked in manifest order: one class's frames.
-    cache_dir = os.environ.get(CACHE_ENV_VAR) or None
-
-    def frames(entry):
-        return features_for_file(config, entry.path, entry.utt_id, cache_dir,
-                                 static_memo).frames
-
-    return np.vstack(_for_each_file(manifest, name, frames))
 
 
 def _class_models(frames, manifest: Manifest, name: str,
@@ -124,17 +110,17 @@ def train_detectors(nat_manifest: Manifest, artif_manifest: Manifest,
     once, with ``gmm_config``'s schedule, up to the largest count its
     frames support; the artificial class only for the counts the natural
     class reached. Maps every count to its self-describing
-    :class:`DetectorModel`, or to the error training it raises: a file or
-    manifest error of either class, else the natural class's EM error, else
+    :class:`DetectorModel`, or to the error training it raises: a file
+    error of either class, else the natural class's EM error, else
     the artificial class's. ``static_memo`` is passed on to
     :func:`~spoofmeter.features.features_for_file`.
     """
     config = feature_config.pinned()
     try:
-        nat_frames = _pooled_frames(nat_manifest, "natural-speech", config,
-                                    static_memo)
-        artif_frames = _pooled_frames(artif_manifest, "artificial-speech",
-                                      config, static_memo)
+        nat_frames, artif_frames = (
+            np.vstack(_for_each_file(manifest, config, static_memo,
+                                     lambda _, feats: feats.frames))
+            for manifest in (nat_manifest, artif_manifest))
     except SpoofmeterError as exc:
         return dict.fromkeys(counts, exc)
     models = _class_models(nat_frames, nat_manifest, "natural-speech",
@@ -198,16 +184,12 @@ def score_batches(models, eval_manifest: Manifest,
     before the next file is read. ``static_memo`` is passed on to
     :func:`~spoofmeter.features.features_for_file`.
     """
-    config = models[0].feature_config
-    cache_dir = os.environ.get(CACHE_ENV_VAR) or None
-
-    def records(entry):
-        feats = features_for_file(config, entry.path, entry.utt_id, cache_dir,
-                                  static_memo)
+    def records(entry, feats):
         return [ScoreRecord(entry.utt_id, entry.label, entry.system_id,
                             llr_score(model, feats)) for model in models]
 
-    rows = _for_each_file(eval_manifest, "evaluation", records)
+    rows = _for_each_file(eval_manifest, models[0].feature_config,
+                          static_memo, records)
     return [ScoreSet(tuple(row[i] for row in rows)) for i in range(len(models))]
 
 

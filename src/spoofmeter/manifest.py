@@ -5,7 +5,7 @@ A manifest is a table (see :mod:`spoofmeter.tables`) with the columns
 anywhere, and the header is the first line that is neither. Labels are
 ``bonafide`` or ``spoof``; bona fide rows carry the reserved system id
 ``-`` and spoof rows anything else. Relative audio paths are resolved
-against the manifest's own directory.
+against the manifest's own directory. A manifest has at least one row.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
+from .errors import EmptyManifestError
 from .metrics import check_label
 from .tables import read_table
 
@@ -34,6 +35,9 @@ class Manifest:
 
     def __post_init__(self):
         object.__setattr__(self, "entries", tuple(self.entries))
+        if not self.entries:
+            where = f"{self.source_path}: " if self.source_path else ""
+            raise EmptyManifestError(f"{where}manifest has no rows")
 
     def __len__(self):
         return len(self.entries)
@@ -47,7 +51,8 @@ def parse_manifest(path) -> Manifest:
 
     Problems (bad header, wrong column count, unknown label, duplicate
     utterance id, inconsistent system id) raise :class:`ManifestParseError`
-    naming the file and the 1-based line number.
+    naming the file and the 1-based line number; a file with no rows raises
+    :class:`EmptyManifestError` naming it.
     """
     path = Path(path)
     seen = set()

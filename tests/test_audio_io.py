@@ -178,6 +178,10 @@ class TestAudioSignal:
         with pytest.raises(ValueError):
             AudioSignal(np.array([0.0, np.nan]), 16000)
 
+    def test_rejects_two_dimensional_samples(self):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            AudioSignal(np.zeros((2, 4)), 16000)
+
     def test_rejects_bad_rate(self):
         with pytest.raises(InvalidRateError):
             AudioSignal(np.zeros(10), 0)

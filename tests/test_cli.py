@@ -234,6 +234,28 @@ class TestGrid:
         assert main(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    @pytest.mark.parametrize("with_config", [False, True])
+    def test_command_line_records_the_run_config(
+            self, workspace, tmp_path, monkeypatch, with_config):
+        # The run config sets every cell's front end and EM schedule, so the
+        # header names it when one was given.
+        monkeypatch.setattr(cli, "_grid_cells", lambda *args: {2: 12.5})
+        out = tmp_path / "grid.tsv"
+        argv = ["grid", "--nat", str(workspace["nat"]),
+                "--artif", str(workspace["artif"]),
+                "--eval", str(workspace["eval"]),
+                "--variants", "stat", "--gaussians", "2"]
+        if with_config:
+            argv += ["--config", str(workspace["config"])]
+        assert main(argv + ["--out", str(out)]) == 0
+        command = (f"# command: grid --nat {workspace['nat']}"
+                   f" --artif {workspace['artif']} --eval {workspace['eval']}"
+                   " --variants stat --gaussians 2 --cmvn raw")
+        if with_config:
+            command += f" --config {workspace['config']}"
+        assert out.read_text().splitlines()[1] == command
+        assert _data_rows(out)[1] == [["stat", "raw", "2", "12.5"]]
+
     def test_cmvn_both_is_the_same_through_the_feature_cache(
             self, workspace, tmp_path, monkeypatch):
         args = ["grid", "--nat", str(workspace["nat"]),
@@ -629,6 +651,7 @@ class TestErrorHandling:
     @pytest.mark.parametrize("broken, keep, error", [
         ("eval", "spoof", EmptyPopulationError),
         ("eval", "bonafide", NoSpoofSystemsError),
+        ("eval", None, EmptyManifestError),
         ("nat", None, EmptyManifestError),
         ("artif", None, EmptyManifestError),
     ])

@@ -12,6 +12,7 @@ import helpers
 from helpers import RATE, make_wav_corpus, resonant_noise, small_feature_config
 from spoofmeter import (
     DetectorModel,
+    DiagGmm,
     FeatureMatrix,
     GmmTrainConfig,
     avg_log_likelihood,
@@ -135,9 +136,10 @@ class TestTrainDetector:
         assert "garbage.wav" in str(info.value)
 
     def test_empty_manifest(self):
-        empty = Manifest(entries=(), source_path="lists/nat.tsv")
-        with pytest.raises(EmptyManifestError, match="^lists/nat.tsv: "):
-            train_detector(empty, empty, FEATURE_CONFIG, GMM_CONFIG)
+        # No empty manifest reaches training: none can be built.
+        with pytest.raises(EmptyManifestError,
+                           match="^lists/nat.tsv: manifest has no rows$"):
+            Manifest(entries=(), source_path="lists/nat.tsv")
 
     def test_model_is_self_describing(self, trained):
         model, _, _ = trained
@@ -182,6 +184,15 @@ class TestLlrScore:
             avg_log_likelihood(model.nat, feats)
             - avg_log_likelihood(model.artif, feats))
 
+    def test_class_models_of_different_dimensions_rejected(self, trained):
+        model, _, _ = trained
+        narrow = DiagGmm(weights=np.ones(1), means=np.zeros((1, 3)),
+                         variances=np.ones((1, 3)))
+        with pytest.raises(DimMismatchError,
+                           match="class models disagree on dimension"):
+            DetectorModel(nat=model.nat, artif=narrow,
+                          feature_config=model.feature_config)
+
     def test_dim_mismatch_rejected(self, trained):
         model, _, _ = trained
         with pytest.raises(DimMismatchError):
@@ -225,10 +236,10 @@ class TestScoreBatch:
         with pytest.raises(BatchScoringError, match="gone.wav"):
             score_batch(model, broken)
 
-    def test_empty_manifest(self, trained):
-        model, _, _ = trained
-        with pytest.raises(EmptyManifestError):
-            score_batch(model, Manifest(entries=(), source_path=None))
+    def test_empty_manifest(self):
+        # No empty manifest reaches scoring: none can be built, named or not.
+        with pytest.raises(EmptyManifestError, match="^manifest has no rows$"):
+            Manifest(entries=iter(()), source_path=None)
 
 
 class TestScoreFileRoundTrip:

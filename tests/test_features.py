@@ -101,6 +101,16 @@ class TestUniformResample:
         with pytest.raises(TooFewBinsError):
             uniform_resample(np.zeros((1, 1)), [100.0], 16)
 
+    def test_spectrum_that_does_not_match_the_bins(self):
+        freqs = 500.0 * 2 ** (np.arange(4) / 12.0)
+        with pytest.raises(ValueError, match="matching center_freqs"):
+            uniform_resample(np.zeros((2, 5)), freqs, 16)
+
+    def test_grid_of_one_point(self):
+        freqs = 500.0 * 2 ** (np.arange(4) / 12.0)
+        with pytest.raises(ConfigError, match="at least 2 points"):
+            uniform_resample(np.zeros((2, 4)), freqs, 16, n_points=1)
+
     def test_two_bins_give_the_straight_line(self):
         freqs = np.array([500.0, 1000.0])
         out, grid = uniform_resample(np.array([[-3.0, 2.0]]), freqs, 16,
@@ -182,6 +192,11 @@ class TestDeltas:
         feats = append_deltas(np.array([[1.0, 2.0, 3.0]]), config)
         assert np.allclose(feats.frames, 0.0)
 
+    def test_no_frames(self):
+        config = CqccConfig(num_ceps=4, use_delta=True)
+        with pytest.raises(ValueError, match="at least one frame"):
+            append_deltas(np.zeros((0, 5)), config)
+
     def test_linear_ramp_slope(self):
         # Oracle: the 5-frame regression of x_t = a*t has slope a everywhere
         # away from the replicated edges.
@@ -217,6 +232,10 @@ class TestCmvn:
         mat[:, 1] = 4.2
         feats = cmvn(FeatureMatrix(mat))
         assert np.all(feats.frames[:, 1] == 0.0)
+
+    def test_no_frames(self):
+        with pytest.raises(ValueError, match="cmvn needs at least one frame"):
+            cmvn(FeatureMatrix(np.zeros((0, 3))))
 
     def test_idempotent(self):
         rng = np.random.default_rng(10)

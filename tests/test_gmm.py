@@ -133,6 +133,11 @@ class TestTraining:
         with pytest.raises(DegenerateDataError):
             train_gmm(frames, GmmTrainConfig(target_components=2))
 
+    def test_frames_must_be_two_dimensional(self):
+        stages = gmm_stages(np.zeros(10), GmmTrainConfig(target_components=1))
+        with pytest.raises(ValueError, match="2-D"):
+            next(stages)
+
     def test_target_must_be_power_of_two(self):
         with pytest.raises(ConfigError):
             GmmTrainConfig(target_components=3)
@@ -386,6 +391,15 @@ class TestDiagGmmValidation:
         with pytest.raises(ValueError):
             DiagGmm(weights=np.array([0.5, 0.4]), means=np.zeros((2, 1)),
                     variances=np.ones((2, 1)))
+
+    @pytest.mark.parametrize("part", ["weights", "means", "variances"])
+    def test_parameters_must_be_finite(self, part):
+        params = dict(weights=np.array([0.5, 0.5]), means=np.zeros((2, 2)),
+                      variances=np.ones((2, 2)))
+        params[part] = params[part].copy()
+        params[part].flat[0] = np.nan if part != "variances" else np.inf
+        with pytest.raises(ValueError, match="must be finite"):
+            DiagGmm(**params)
 
     def test_variances_must_be_positive(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,9 @@
+import re
+
 import pytest
 
 from spoofmeter import parse_manifest
-from spoofmeter.errors import ManifestParseError
+from spoofmeter.errors import EmptyManifestError, ManifestParseError
 from spoofmeter.tables import replacing
 
 
@@ -73,6 +75,15 @@ def test_wrong_header(tmp_path):
 def test_empty_file(tmp_path):
     path = _write(tmp_path, "")
     with pytest.raises(ManifestParseError):
+        parse_manifest(path)
+
+
+def test_header_only_file_names_the_file(tmp_path):
+    # comment and blank lines around the header are no rows
+    path = _write(tmp_path, "# no rows yet\n" + HEADER
+                  + "\n#c\tx.wav\tbonafide\t-\n")
+    with pytest.raises(EmptyManifestError,
+                       match=f"^{re.escape(str(path))}: manifest has no rows$"):
         parse_manifest(path)
 
 

@@ -115,6 +115,14 @@ class TestComputeEer:
             swapped = compute_eer(-spoof, -bona).eer_percent
             assert abs(direct - swapped) < 1e-9
 
+    @pytest.mark.parametrize("bona, spoof, name", [
+        ([0.0, np.nan], [1.0], "bona fide"),
+        ([0.0], [1.0, np.inf], "spoof"),
+    ])
+    def test_scores_must_be_finite(self, bona, spoof, name):
+        with pytest.raises(ValueError, match=f"^{name} scores must be finite"):
+            compute_eer(bona, spoof)
+
     def test_bounds(self):
         rng = np.random.default_rng(34)
         for _ in range(20):

@@ -229,6 +229,14 @@ def test_write_table_refuses_what_would_not_read_back(scratch, rows):
         assert _read_back(path) == rows
 
 
+@pytest.mark.parametrize("comment", ["a\nb", "a\rb"])
+def test_write_table_refuses_a_comment_with_a_line_break(scratch, comment):
+    path = scratch / "c.tsv"
+    with pytest.raises(ValueError, match="holds a line break"):
+        write_table(path, COLUMNS, [["a", "b", "c"]], [comment])
+    assert not path.exists()
+
+
 def test_write_table_refuses_wrong_width(scratch):
     with pytest.raises(ValueError):
         write_table(scratch / "w.tsv", COLUMNS, [["a", "b"]])
