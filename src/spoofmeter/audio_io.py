@@ -70,7 +70,8 @@ def read_wav(path) -> AudioSignal:
     Integer samples are scaled by 1/32768 into [-1, 1); the sample count is
     preserved exactly. Raises :class:`UnsupportedFormatError` for non-PCM or
     non-16-bit encodings, :class:`UnsupportedChannelsError` for anything but
-    mono, and :class:`CorruptHeaderError` for malformed containers.
+    mono, and :class:`CorruptHeaderError` for malformed containers, a data
+    chunk with a half sample among them.
     """
     raw = Path(path).read_bytes()
     if len(raw) < 12 or raw[:4] != b"RIFF" or raw[8:12] != b"WAVE":
@@ -114,8 +115,11 @@ def read_wav(path) -> AudioSignal:
     if sample_rate == 0:
         raise CorruptHeaderError(f"{path}: zero sample rate in header")
 
-    n = len(data_chunk) // 2
-    samples = np.frombuffer(data_chunk[:2 * n], dtype="<i2").astype(np.float64)
+    if len(data_chunk) % 2:
+        raise CorruptHeaderError(
+            f"{path}: data chunk of {len(data_chunk)} bytes is not a whole "
+            f"number of 16-bit samples")
+    samples = np.frombuffer(data_chunk, dtype="<i2").astype(np.float64)
     return AudioSignal(samples / PCM16_SCALE, sample_rate)
 
 

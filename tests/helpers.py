@@ -7,6 +7,7 @@ import wave
 import numpy as np
 import scipy.fft
 from scipy.fft import dct
+from scipy.interpolate import CubicSpline
 from scipy.signal import lfilter
 from scipy.special import logsumexp
 
@@ -212,6 +213,13 @@ def reference_dct_truncate(uniform_log_spec, num_ceps, include_zeroth):
     lo = 0 if include_zeroth else 1
     return dct(np.asarray(uniform_log_spec, dtype=np.float64), type=2,
                norm="ortho", axis=1)[:, lo:num_ceps + 1]
+
+
+def reference_uniform_resample(log_spec, center_freqs, grid):
+    """Each frame's not-a-knot ``CubicSpline`` through the knots, evaluated on
+    ``grid``: what ``features.uniform_resample`` computed before its Hermite
+    form. An oracle for the Hermite form, not a second code path."""
+    return CubicSpline(center_freqs, log_spec, axis=1)(grid)
 
 
 def reference_band_column(spectrum, n_fold, win_len, freq_per_sample,

@@ -95,7 +95,9 @@ class TestReadWav:
         (_riff((b"fmt ", _fmt()[:14]), (b"data", b"\x00\x00")),
          "fmt chunk too short"),
         (_wav_bytes(rate=0), "zero sample rate in header"),
-    ], ids=["no-fmt", "no-data", "short-fmt", "zero-rate"])
+        (_wav_bytes(data=b"\x01\x00\x02\x00\x03"),
+         "data chunk of 5 bytes is not a whole number of 16-bit samples"),
+    ], ids=["no-fmt", "no-data", "short-fmt", "zero-rate", "half-sample"])
     def test_malformed_container_names_file(self, tmp_path, raw, message):
         path = tmp_path / "c.wav"
         path.write_bytes(raw)

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from helpers import (
     SMALL_CQT,
     noise_signal,
     reference_dct_truncate,
+    reference_uniform_resample,
     save_npy,
 )
 from spoofmeter import (
@@ -21,6 +23,7 @@ from spoofmeter import (
     cmvn,
     cqt_spectrogram,
     dct_truncate,
+    default_feature_config,
     extract_features,
     log_power,
     read_feature_cache,
@@ -127,6 +130,49 @@ class TestUniformResample:
         out, grid = uniform_resample(quadratic(freqs)[None, :], freqs, 16,
                                      n_points=13)
         assert np.max(np.abs(out[0] - quadratic(grid))) < 1e-9
+
+    def test_matches_the_cubic_spline_on_the_default_grid(self):
+        # 890 frames: the 8.9 s utterance of the benchmark's paper-frontend.
+        config = default_feature_config()
+        freqs = config.cqt.center_freqs
+        log_spec = np.random.default_rng(24).uniform(
+            -46.0, 0.0, (890, freqs.shape[0]))
+        out, grid = uniform_resample(log_spec, freqs, 16,
+                                     n_points=config.effective_grid_size)
+        expected = reference_uniform_resample(log_spec, freqs, grid)
+        assert out.shape == expected.shape == (890, 4067)
+        assert np.max(np.abs(out - expected)) < 1e-10
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_spectrum_rejected(self, bad):
+        freqs = 500.0 * 2 ** (np.arange(6) / 12.0)
+        log_spec = np.zeros((3, 6))
+        log_spec[1, 4] = bad
+        with pytest.raises(ValueError):
+            uniform_resample(log_spec, freqs, 16, n_points=20)
+
+    @pytest.mark.parametrize("freqs", [[500.0, 600.0, 600.0, 800.0, 900.0],
+                                       [500.0, 600.0, 700.0, 650.0, 900.0],
+                                       [900.0, 800.0, 700.0, 600.0, 500.0],
+                                       [500.0, np.nan, 700.0, 800.0, 900.0]],
+                             ids=["repeat", "descent", "decreasing", "nan"])
+    def test_knots_that_do_not_strictly_increase_rejected(self, freqs):
+        with pytest.raises(ValueError):
+            uniform_resample(np.zeros((2, 5)), freqs, 16, n_points=20)
+
+    def test_default_grid_peak_memory(self):
+        # The output alone is 29 MB; a CubicSpline's (4, 863, 890)
+        # coefficient array beside it would pass the bound.
+        freqs = default_feature_config().cqt.center_freqs
+        log_spec = np.random.default_rng(25).uniform(
+            -46.0, 0.0, (890, freqs.shape[0]))
+        tracemalloc.start()
+        try:
+            uniform_resample(log_spec, freqs, 16, n_points=4067)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6
 
 
 class TestDctTruncate:

@@ -8,7 +8,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import reference_dct_truncate, small_feature_config
+from helpers import (reference_dct_truncate, reference_uniform_resample,
+                     small_feature_config)
 from spoofmeter import (
     AudioSignal,
     CqccConfig,
@@ -28,6 +29,7 @@ from spoofmeter.features import (
     default_grid_size,
     extract_features,
     read_feature_cache,
+    uniform_resample,
     write_feature_cache,
 )
 from spoofmeter.model_io import _array_doc, _array_from_doc
@@ -184,6 +186,32 @@ def test_dct_truncate_matches_the_full_dct(n_points, data, seed,
     expected = reference_dct_truncate(mat, num_ceps, include_zeroth)
     assert out.shape == expected.shape
     assert np.max(np.abs(out - expected)) < 1e-10
+
+
+@st.composite
+def spline_knots(draw):
+    """Strictly increasing knots, 2 to 300 of them, whose gaps lie within a
+    factor of 10 of each other; CQT knots, a geometric progression, are the
+    usual case. Wider gap ratios make the not-a-knot system ill-conditioned,
+    where any two evaluations, this one and ``CubicSpline`` alike, lose
+    digits to rounding."""
+    n_bins = draw(st.integers(2, 300))
+    start = draw(st.floats(0.0, 1e4))
+    unit = 10.0 ** draw(st.floats(-3.0, 3.0))
+    gaps = draw(arrays(np.float64, n_bins - 1, elements=st.floats(1.0, 10.0)))
+    return start + np.concatenate([[0.0], np.cumsum(unit * gaps)])
+
+
+@PROPERTY_SETTINGS
+@given(knots=spline_knots(), n_points=st.integers(2, 4096), data=st.data())
+def test_uniform_resample_matches_the_cubic_spline(knots, n_points, data):
+    log_spec = data.draw(arrays(np.float64, (3, knots.shape[0]),
+                                elements=st.floats(-1e6, 1e6)))
+    out, grid = uniform_resample(log_spec, knots, 16, n_points=n_points)
+    expected = reference_uniform_resample(log_spec, knots, grid)
+    assert out.shape == expected.shape == (3, n_points)
+    assert (np.max(np.abs(out - expected))
+            < 1e-10 * (1.0 + np.max(np.abs(log_spec))))
 
 
 # --- tables ----------------------------------------------------------------
