@@ -3,7 +3,8 @@
 Subcommands: ``train`` (fit the two class models), ``score`` (LLR per
 evaluation utterance), ``eer`` (per-system and attack-averaged equal error
 rates), ``report`` (EER joined with machine and, optionally, human opinion
-scores), and ``grid`` (front-end variants crossed with Gaussian counts).
+scores; an EER above 50 %, where the machine score clamps at 5, is noted on
+stderr), and ``grid`` (front-end variants crossed with Gaussian counts).
 
 All tabular I/O is TSV under one rule (:mod:`spoofmeter.tables`): blank lines
 and ``#`` lines are skipped anywhere, and the header is the first line that is
@@ -17,7 +18,8 @@ features, models and scores all follow the thread count. The feature cache's
 key holds no thread count, so with ``SPOOFMETER_CACHE_DIR`` set this holds only
 for a cold cache or one filled at the same count. Each output is written beside
 ``--out`` and renamed over it (:func:`spoofmeter.tables.replacing`), so a
-failed command leaves an earlier output as it was.
+failed command leaves an earlier output as it was. An ``--out`` whose
+directory is missing, or that is a directory, fails before any input is read.
 
 The run configuration (``--config``) is a JSON object with the optional
 keys ``sample_rate``, ``cqt``, ``cqcc`` and ``gmm``. The keys of the last
@@ -50,8 +52,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-import warnings
 from dataclasses import replace
+from pathlib import Path
 
 from . import __version__
 from .config import checked, from_doc, read_json_object, to_doc
@@ -235,13 +237,12 @@ def _cmd_report(args) -> int:
     for system, eer in eer_rows:
         if system == AVERAGE_ROW_ID:
             continue
-        # Above 50 % the score is clamped with a warning; say it as ours.
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            row = [system, eer, machine_opinion_score(eer)]
-        for warning in caught:
-            print(f"spoofmeter: {args.eer}: system {system}: "
-                  f"{warning.message}", file=sys.stderr)
+        if eer > 50.0:  # the opinion score clamps it to 5
+            print(f"spoofmeter: {args.eer}: system {system}: EER of "
+                  f"{eer:.2f}% is above chance level; this usually indicates "
+                  f"an implementation problem in the detector",
+                  file=sys.stderr)
+        row = [system, eer, machine_opinion_score(eer)]
         if mos_map is not None:
             row.append(mos_map.get(system, "-"))
         rows.append(row)
@@ -408,6 +409,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        # Before any input is read, and by the name given, not the temporary
+        # file that tables.replacing writes beside it.
+        out = Path(args.out)
+        if not out.parent.is_dir():
+            raise FileNotFoundError(f"--out {out}: no directory {out.parent}")
+        if out.is_dir():
+            raise IsADirectoryError(f"--out {out} is a directory")
         return args.func(args)
     except UsageError as exc:
         print(f"spoofmeter: {exc}", file=sys.stderr)

@@ -98,8 +98,7 @@ def from_doc(cls, doc, where, defaults=None, **outside_doc):
                 None if defaults is None else defaults[name])
         else:
             values[name] = checked(value, hints[name], f"{where}: {name}")
-    # Also a size beyond a float, or CQT bins beyond any array or memory.
     try:
         return cls(**values, **outside_doc)
-    except (ConfigError, OverflowError, ValueError, MemoryError) as exc:
+    except (ConfigError, OverflowError) as exc:  # also a size beyond a float
         raise ConfigError(f"{where}: {exc}") from exc

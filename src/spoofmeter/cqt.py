@@ -88,6 +88,11 @@ _NEAR_ZERO = 1e-3
 # killed for memory instead. At the cap a 9 s spectrogram is already 0.9 GB.
 _MAX_BINS = 2 ** 17
 
+# Longest window a grid may have, in samples: 37 h at 16 kHz, checked from
+# the closed form before any length is cast to an integer, as one beyond
+# int64 (f_min = 1e-300 Hz gives 2.2e306 samples) casts to a negative length.
+_MAX_WINDOW = 2 ** 31
+
 # Band-form bins folded and inverse transformed per scipy.fft.ifft call.
 _BAND_BLOCK = 64
 
@@ -115,6 +120,9 @@ class CqtConfig:
         object.__setattr__(self, "f_max", float(self.f_max))
         if self.bins_per_octave < 1:
             raise ConfigError("bins_per_octave must be >= 1")
+        if 2.0 ** (1.0 / self.bins_per_octave) == 1.0:  # Q = 1 / 0
+            raise ConfigError(f"bins_per_octave {self.bins_per_octave} "
+                              f"leaves the bins no bandwidth")
         if self.hop < 1:
             raise ConfigError("hop must be >= 1")
         if not (0.0 < self.f_min < self.f_max):
@@ -127,11 +135,18 @@ class CqtConfig:
             raise ConfigError(f"grid of {self.n_bins} bins exceeds the "
                               f"limit of {_MAX_BINS}")
 
-    def check_nyquist(self, sample_rate) -> None:
-        """:class:`ConfigError` unless ``f_max`` is within Nyquist."""
+    def check_rate(self, sample_rate) -> None:
+        """:class:`ConfigError` unless the grid can run at ``sample_rate``:
+        ``f_max`` within Nyquist and the longest window, at ``f_min``, of at
+        most ``_MAX_WINDOW`` samples."""
         if self.f_max > sample_rate / 2.0 + 1e-9:
             raise ConfigError(f"cqt f_max={self.f_max} exceeds Nyquist for "
                               f"{sample_rate} Hz")
+        longest = self.q_factor * sample_rate / self.f_min
+        if not longest <= _MAX_WINDOW:
+            raise ConfigError(f"longest window of {longest:.3g} samples at "
+                              f"{sample_rate} Hz exceeds the limit of "
+                              f"{_MAX_WINDOW}")
 
     @property
     def q_factor(self) -> float:
@@ -178,10 +193,6 @@ class CqtSpectrogram:
     @property
     def n_frames(self) -> int:
         return self.magnitudes.shape[0]
-
-    @property
-    def n_bins(self) -> int:
-        return self.magnitudes.shape[1]
 
 
 def _dirichlet(u: np.ndarray, n: int) -> np.ndarray:
@@ -408,7 +419,7 @@ def cqt_spectrogram(signal: AudioSignal, config: CqtConfig) -> CqtSpectrogram:
     only the first signal of each pays for its kernels.
     """
     rate = signal.sample_rate
-    config.check_nyquist(rate)
+    config.check_rate(rate)
 
     lengths = config.window_lengths(rate)
     longest = int(lengths[0])

@@ -47,6 +47,11 @@ POWER_FLOOR = 1e-20
 # Two-sided regression window for deltas (5-frame regression).
 DELTA_WINDOW = 2
 
+# Most points a uniform grid may have, 32 times the default 4,067, checked
+# when a FeatureConfig is built. At the cap a 9 s resampled spectrogram is
+# already 0.9 GB; f_min = 1e-300 Hz derives a grid of 6.4e304 points.
+_MAX_GRID_POINTS = 2 ** 17
+
 # Part of every feature cache key. Bump it whenever extraction output changes,
 # even in the last bits, so that entries an older front end wrote are rebuilt.
 _FRONTEND_REVISION = 8
@@ -324,8 +329,9 @@ class FeatureConfig:
     A config constructs only if its front end can run; else it raises
     :class:`ConfigError`. Its rules: at least 2 CQT bins for the spline, an
     effective grid (pinned or derived) of at least ``num_ceps + 1`` points
-    for the DCT, and ``f_max`` within Nyquist, which no ``sample_rate`` of 0
-    or less has.
+    for the DCT and at most ``_MAX_GRID_POINTS``, ``f_max`` within Nyquist,
+    which no ``sample_rate`` of 0 or less has, and a longest CQT window of
+    at most ``cqt._MAX_WINDOW`` samples.
     """
 
     sample_rate: int
@@ -341,7 +347,10 @@ class FeatureConfig:
         if grid < num_ceps + 1:
             raise ConfigError(f"uniform grid of {grid} points cannot yield "
                               f"{num_ceps} cepstral coefficients")
-        self.cqt.check_nyquist(self.sample_rate)
+        if grid > _MAX_GRID_POINTS:
+            raise ConfigError(f"uniform grid of {grid:.3g} points exceeds "
+                              f"the limit of {_MAX_GRID_POINTS}")
+        self.cqt.check_rate(self.sample_rate)
 
     @property
     def effective_grid_size(self) -> int:

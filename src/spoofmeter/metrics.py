@@ -10,7 +10,6 @@ scores leaves it unchanged.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -206,17 +205,12 @@ def attack_averaged_eer(scores: ScoreSet) -> AttackEerSummary:
 
 
 def machine_opinion_score(eer_percent: float) -> float:
-    """EER/10 clamped to [0, 5]: a continuous 5-point machine opinion.
+    """EER/10 clamped to at most 5: a continuous 5-point machine opinion.
 
-    50% (chance level) maps to the ideal 5.0. Values above 50% usually mean
-    a detector bug, so they are clamped and flagged with a warning.
+    50% (chance level) maps to the ideal 5.0, and so does any EER above it.
+    ``ValueError`` unless the EER lies in [0, 100].
     """
-    if check_eer_percent(eer_percent) > 50.0:
-        warnings.warn(
-            f"EER of {eer_percent:.2f}% is above chance level; this usually "
-            f"indicates an implementation problem in the detector",
-            stacklevel=2)
-    return min(max(eer_percent / 10.0, 0.0), 5.0)
+    return min(check_eer_percent(eer_percent) / 10.0, 5.0)
 
 
 @dataclass(frozen=True)

@@ -817,8 +817,27 @@ class TestErrorHandling:
         (f'{{"cqt": {{"bins_per_octave": {2**50}}}}}', ""),
         ('{"cqt": {"bins_per_octave": 100000000}}',
          "cqt: grid of 900000000 bins exceeds the limit of 131072"),
+        # 96,917 bins, within the cap, but a derived grid of 6.4e304 points
+        # and a bin-0 window beyond int64.
+        ('{"cqt": {"f_min": 1e-300}, "gmm": {"target_components": 2}}',
+         "uniform grid of 6.39e+304 points exceeds the limit of 131072"),
+        # About 1.8 GB per resampled 8.9 s spectrogram.
+        ('{"cqcc": {"resample_period": 1000}}',
+         "uniform grid of 2.54e+05 points exceeds the limit of 131072"),
+        # 17 octaves of 1000 bins on a 65,536-point grid: only the bin-0
+        # window, 3.0e9 samples, is out of bounds.
+        ('{"cqt": {"bins_per_octave": 1000, "f_min": 0.00762939453125, '
+         '"f_max": 1000.0}, "cqcc": {"resample_period": 1}}',
+         "longest window of 3.02e+09 samples at 16000 Hz exceeds the limit "
+         "of 2147483648"),
+        # 2 ** (1 / 1e16) rounds to 1.0: Q would divide by zero.
+        ('{"cqt": {"bins_per_octave": 10000000000000000, "f_min": 1000.0, '
+         '"f_max": 1000.0000000001}, "cqcc": {"num_ceps": 1}}',
+         "cqt: bins_per_octave 10000000000000000 leaves the bins no "
+         "bandwidth"),
     ], ids=["sample-rate", "f-min", "f-max", "bins-2**63", "bins-2**50",
-            "bins-1e8"])
+            "bins-1e8", "grid-6e304", "grid-period-1000", "window-3e9",
+            "q-infinite"])
     def test_number_the_front_end_cannot_lay_out_exits_2_naming_file(
             self, tmp_path, capsys, wav_reads, config_text, message):
         config = tmp_path / "huge.json"
@@ -834,6 +853,34 @@ class TestErrorHandling:
         assert "0" * 100 not in err
         assert wav_reads == []
         assert not out.exists()
+
+    def test_train_out_in_a_missing_directory_exits_2_before_reading(
+            self, workspace, tmp_path, capsys, wav_reads):
+        out = tmp_path / "no" / "such" / "m.json"
+        rc = main(["train", "--nat", str(workspace["nat"]),
+                   "--artif", str(workspace["artif"]),
+                   "--config", str(workspace["config"]), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"spoofmeter: --out {out}: no directory {out.parent}\n")
+        assert wav_reads == []
+
+    @pytest.mark.parametrize("where, message", [
+        ("no/eer.tsv", "--out {out}: no directory {parent}"),
+        ("scores.tsv/eer.tsv", "--out {out}: no directory {parent}"),
+        (".", "--out {out} is a directory"),
+    ], ids=["missing-directory", "file-as-directory", "directory"])
+    def test_eer_out_that_cannot_be_written_exits_2_naming_it(
+            self, tmp_path, capsys, where, message):
+        scores = tmp_path / "scores.tsv"
+        scores.write_text("utt_id\tlabel\tsystem_id\tllr\n"
+                          "u0\tbonafide\t-\t0.5\n"
+                          "u1\tspoof\tsysA\t-0.5\n")
+        out = tmp_path / where
+        assert main(["eer", "--scores", str(scores), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "spoofmeter: " + message.format(
+            out=out, parent=out.parent) + "\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["scores.tsv"]
 
     def test_eer_reads_scores_with_a_byte_order_mark(self, tmp_path):
         scores = tmp_path / "scores.tsv"

@@ -279,6 +279,23 @@ def test_bin_count_is_capped_before_any_array_is_built():
                   f_max=2000.0, hop=160)
 
 
+def test_longest_window_is_capped_before_any_length_is_cast():
+    # 17 octaves below 1 kHz at 1000 bins per octave: the bin-0 window is
+    # 3.0e9 samples at 16 kHz, 1.5e9 at 8 kHz.
+    config = CqtConfig(bins_per_octave=1000, f_min=1000.0 / 2 ** 17,
+                       f_max=1000.0, hop=160)
+    config.check_rate(8000)
+    with pytest.raises(ConfigError, match=(
+            f"longest window of 3.02e\\+09 samples at {RATE} Hz exceeds "
+            f"the limit of {cqt._MAX_WINDOW}")):
+        config.check_rate(RATE)
+    with pytest.raises(ConfigError, match="longest window"):
+        cqt_spectrogram(AudioSignal(np.zeros(RATE), RATE), config)
+    # f_min = 1e-300 Hz: beyond int64, its cast length would be negative.
+    with pytest.raises(ConfigError, match="longest window of 2.21e\\+306"):
+        CqtConfig(96, 1e-300, 8000.0, 160).check_rate(RATE)
+
+
 def test_invalid_config_values():
     with pytest.raises(ConfigError):
         CqtConfig(bins_per_octave=0, f_min=100.0, f_max=8000.0, hop=160)

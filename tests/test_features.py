@@ -399,7 +399,10 @@ class TestConfigValidation:
          "uniform grid of 8 points cannot yield 29"),
         (SMALL_CQT, CqccConfig(), 8, "uniform grid of 8 points cannot yield 29"),
         (SMALL_CQT, CqccConfig(num_ceps=1), 1, "uniform grid of 1 points"),
-    ], ids=["one-bin", "derived-grid", "pinned-grid", "one-point"])
+        (SMALL_CQT, CqccConfig(), 2 ** 17 + 1,
+         "uniform grid of 1.31e\\+05 points exceeds the limit of 131072"),
+    ], ids=["one-bin", "derived-grid", "pinned-grid", "one-point",
+            "pinned-grid-over-cap"])
     def test_front_end_that_cannot_run_is_refused(self, cqt, cqcc, grid_size,
                                                   message):
         with pytest.raises(ConfigError, match=message):

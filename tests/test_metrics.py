@@ -171,9 +171,8 @@ class TestMachineOpinionScore:
     def test_zero(self):
         assert machine_opinion_score(0.0) == 0.0
 
-    def test_above_chance_warns_and_clamps(self):
-        with pytest.warns(UserWarning):
-            assert machine_opinion_score(72.0) == 5.0
+    def test_above_chance_clamps(self):
+        assert machine_opinion_score(72.0) == 5.0
 
     def test_range_check(self):
         with pytest.raises(ValueError):
