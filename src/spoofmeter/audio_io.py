@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import resample_poly
 
 from .errors import (
     CorruptHeaderError,
@@ -138,6 +137,13 @@ def resample(signal: AudioSignal, target_rate: int) -> AudioSignal:
     target_rate = int(target_rate)
     if target_rate == signal.sample_rate:
         return signal
+
+    # Imported here, only when the rates differ: scipy.signal pulls in
+    # scipy.stats, scipy.interpolate and scipy.optimize. That is 0.88-0.95 s
+    # of the 1.04-1.11 s `import spoofmeter.cli` takes, and 42 of its 107 MB
+    # VmHWM (2-vCPU Xeon), which `eer`, `report` and a corpus already at the
+    # operating rate would pay for nothing.
+    from scipy.signal import resample_poly
 
     g = math.gcd(target_rate, signal.sample_rate)
     up = target_rate // g

@@ -1,10 +1,15 @@
+import os
 import re
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.signal import resample_poly
 
+import spoofmeter
 from helpers import tone, write_pcm16_wav
 from spoofmeter import AudioSignal, read_wav, resample
 from spoofmeter.audio_io import _lowpass_taps
@@ -173,6 +178,20 @@ class TestResample:
     def test_empty_signal(self):
         with pytest.raises(EmptySignalError):
             resample(AudioSignal(np.array([]), 16000), 8000)
+
+    def test_scipy_signal_is_imported_only_to_change_the_rate(self):
+        # It is most of the package's import time and memory.
+        code = ("import sys, numpy as np, spoofmeter.cli\n"
+                "from spoofmeter import AudioSignal, resample\n"
+                "resample(AudioSignal(np.zeros(8), 16000), 16000)\n"
+                "print('scipy.signal' in sys.modules)\n"
+                "resample(AudioSignal(np.zeros(8), 16000), 8000)\n"
+                "print('scipy.signal' in sys.modules)\n")
+        env = {**os.environ,
+               "PYTHONPATH": str(Path(spoofmeter.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.split() == ["False", "True"]
 
 
 class TestAudioSignal:

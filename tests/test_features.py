@@ -38,7 +38,8 @@ from spoofmeter.errors import (
     SignalTooShortError,
     TooFewBinsError,
 )
-from spoofmeter.features import _dct_basis
+from spoofmeter.features import (POWER_FLOOR, _CEPSTRA_FRAMES, _dct_basis,
+                                  static_cepstra)
 
 
 def _spec_from(mags):
@@ -65,6 +66,21 @@ class TestLogPower:
         base = log_power(_spec_from(mags))
         scaled = log_power(_spec_from(10.0 * mags))
         assert np.allclose(scaled - base, np.log(100.0))
+
+    def test_equals_the_three_array_expression_in_one_array(self):
+        mags = np.random.default_rng(26).uniform(0.0, 2.0, (300, 48))
+        mags[::7, ::5] = 0.0
+        mags[3, :10] = 1e-12  # below the floor once squared
+        spec = _spec_from(mags)
+        tracemalloc.start()
+        try:
+            out = log_power(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        expected = np.log(np.maximum(mags ** 2, POWER_FLOOR))
+        assert out.tobytes() == expected.tobytes()
+        assert peak < 1.1 * out.nbytes
 
 
 class TestUniformResample:
@@ -384,6 +400,43 @@ class TestExtractCqcc:
                             use_delta2=False)
         assert _extract_small(quiet, config).n_frames \
             == _extract_small(loud, config).n_frames
+
+
+@pytest.fixture(scope="module")
+def default_utterance():
+    """The default front end and 8.9 s of noise at 16 kHz: 890 frames."""
+    config = default_feature_config()
+    signal = noise_signal(np.random.default_rng(27), 142400)
+    return config, signal
+
+
+class TestStaticCepstra:
+    def test_blocks_equal_the_whole_array_composition(self, default_utterance):
+        # The benchmark's smoke run and its grid-em and score-batch
+        # utterances fit in one block; here the edges of six are crossed.
+        config, signal = default_utterance
+        uniform, _ = uniform_resample(
+            log_power(cqt_spectrogram(signal, config.cqt)),
+            config.cqt.center_freqs, config.cqcc.resample_period,
+            n_points=config.effective_grid_size)
+        assert uniform.shape == (890, 4067)
+        assert 890 // _CEPSTRA_FRAMES > 1
+        expected = dct_truncate(uniform, config.cqcc.num_ceps, True)
+        out = static_cepstra(config, signal)
+        assert out.tobytes() == expected.tobytes()
+
+    def test_default_grid_peak_memory(self, default_utterance):
+        # The whole (890, 4067) resampled spectrogram alone is 29 MB and
+        # put the peak at 47.7 MB; in blocks the CQT sets it at 19.1 MB.
+        config, signal = default_utterance
+        static_cepstra(config, signal)  # the CQT plan and DCT basis cached
+        tracemalloc.start()
+        try:
+            static_cepstra(config, signal)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24e6
 
 
 class TestConfigValidation:

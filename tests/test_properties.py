@@ -8,8 +8,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import (reference_dct_truncate, reference_uniform_resample,
-                     small_feature_config)
+from helpers import (RATE, SMALL_CQT, reference_dct_truncate,
+                     reference_uniform_resample, small_feature_config)
 from spoofmeter import (
     AudioSignal,
     CqccConfig,
@@ -17,13 +17,17 @@ from spoofmeter import (
     DetectorModel,
     DiagGmm,
     FeatureMatrix,
+    append_deltas,
     compute_eer,
+    cqt_spectrogram,
     llr_score,
     load_model,
+    log_power,
     save_model,
 )
 from spoofmeter.errors import ConfigError
 from spoofmeter.features import (
+    _CEPSTRA_FRAMES,
     FeatureConfig,
     dct_truncate,
     default_grid_size,
@@ -186,6 +190,38 @@ def test_dct_truncate_matches_the_full_dct(n_points, data, seed,
     expected = reference_dct_truncate(mat, num_ceps, include_zeroth)
     assert out.shape == expected.shape
     assert np.max(np.abs(out - expected)) < 1e-10
+
+
+_BLOCK = _CEPSTRA_FRAMES
+
+
+@PROPERTY_SETTINGS
+@given(n_frames=st.integers(1, 5 * _BLOCK), num_ceps=st.integers(1, 40),
+       seed=st.integers(0, 2**32 - 1))
+@example(n_frames=_BLOCK - 1, num_ceps=29, seed=0)
+@example(n_frames=_BLOCK, num_ceps=29, seed=0)
+@example(n_frames=_BLOCK + 1, num_ceps=29, seed=0)
+@example(n_frames=2 * _BLOCK - 1, num_ceps=29, seed=0)
+@example(n_frames=2 * _BLOCK, num_ceps=29, seed=0)
+@example(n_frames=4 * _BLOCK + 3, num_ceps=29, seed=0)
+def test_frame_blocks_equal_the_whole_array_composition(n_frames, num_ceps,
+                                                        seed):
+    # extract_features runs the spline and DCT on blocks of frames; here
+    # they see the whole spectrogram at once.
+    config = FeatureConfig(RATE, SMALL_CQT, CqccConfig(
+        num_ceps=num_ceps, include_zeroth=True, use_static=True))
+    n_samples = max(int(SMALL_CQT.window_lengths(RATE)[0]),
+                    (n_frames - 1) * SMALL_CQT.hop + 1)
+    rng = np.random.default_rng(seed)
+    signal = AudioSignal(rng.uniform(-0.5, 0.5, n_samples), RATE)
+    uniform, _ = uniform_resample(
+        log_power(cqt_spectrogram(signal, SMALL_CQT)), SMALL_CQT.center_freqs,
+        config.cqcc.resample_period, n_points=config.effective_grid_size)
+    expected = append_deltas(dct_truncate(uniform, num_ceps, True),
+                             config.cqcc)
+    feats = extract_features(config, signal)
+    assert feats.n_frames == max(n_frames, 4)
+    assert feats.frames.tobytes() == expected.frames.tobytes()
 
 
 @st.composite
