@@ -13,10 +13,14 @@ neither. Every output table starts with three ``#`` lines and no timestamp:
 ``seed:``, recorded but never used, as no step draws random numbers. Identical
 invocations on the same machine at the same BLAS thread count produce
 byte-identical artifacts: the front end's matrix products (the direct-form CQT
-and the DCT basis) and EM's round by how BLAS splits them over threads, so
-features, models and scores all follow the thread count. The feature cache's
-key holds no thread count, so with ``SPOOFMETER_CACHE_DIR`` set this holds only
-for a cold cache or one filled at the same count. Each output is written beside
+and the DCT basis) and EM's round by how BLAS splits them over threads, so the
+features, models and scores of ``train`` and ``score`` follow the caller's
+thread count. ``grid`` computes in worker processes at one BLAS thread, so its
+table and the cache entries it writes are those of a one-thread run at any
+thread count. The feature cache's key holds no thread count, so with
+``SPOOFMETER_CACHE_DIR`` set this holds only for a cold cache or one filled at
+the same count; the entries ``grid`` wrote are one-thread entries when
+``train`` or ``score`` later reads them. Each output is written beside
 ``--out`` and renamed over it (:func:`spoofmeter.tables.replacing`), so a
 failed command leaves an earlier output as it was. An ``--out`` whose
 directory is missing, or that is a directory, fails before any input is read.
@@ -34,15 +38,45 @@ name the file. So is a front end that cannot run, which
 and ``use_*``) by ``--variants`` and its ``apply_cmvn`` by ``--cmvn``:
 ``"apply_cmvn": true`` still runs raw cells.
 
-``train`` and ``grid`` share one training path,
-:func:`~spoofmeter.detector.train_detectors`; ``train`` is its one-count
-case. ``grid`` does each expensive step once per run. Every WAV's static
-cepstra (:func:`~spoofmeter.features.static_cepstra`) are computed once and
-kept in memory for the whole run: ``num_ceps + 1`` float64 per frame, about
-24 KB per audio second at the defaults. Per front-end config, each class's
-frames are pooled once and trained once, up to the largest Gaussian count
-they support, and each eval file is scored by every count in one pass. A
-cell still fails alone, with the message its own ``train`` would print.
+``train`` and ``grid`` share one training path: ``train`` is the one-count
+case of :func:`~spoofmeter.detector.train_detectors`, and ``grid`` runs its
+parts. ``grid`` does each expensive step once per run, in the worker pool of
+:mod:`spoofmeter.workers` (one worker per task, up to one per CPU the
+process may use), in three phases:
+
+1. The static cepstra (:func:`~spoofmeter.features.static_cepstra`) of
+   every distinct WAV that a front-end config will miss in the feature
+   cache, one task per WAV. They are saved in a temporary directory for the
+   run (in ``$TMPDIR``; a killed ``grid`` leaves it behind), ``num_ceps + 1``
+   float64 per frame (about 24 KB per audio second at the defaults), and
+   every later task loads them from there. A grid over a warm cache
+   computes none.
+2. One task per front-end config and class: the class's frames are pooled
+   once and trained once, up to the largest Gaussian count they support.
+   The artificial class trains beside the natural one, so also at counts
+   the natural class cannot reach, whose cells fail with the natural
+   class's error.
+3. One task per front-end config: each eval file is scored by every
+   count's detector in one pass.
+
+EM, most of the work, is 2 x configs tasks and scoring is configs tasks, so
+every worker is busy in EM while configs >= CPUs / 2. On more CPUs than
+that, EM runs on fewer cores than one process's BLAS threads had. A cell
+still fails alone, with the message its own ``train`` would print.
+
+No process holds the cepstra of more than one file. The parent holds the
+manifests and models; a worker holds, on top of about 65 MB for an
+interpreter with numpy and scipy, what its task needs: one WAV's CQT, one
+class's pooled frames and EM state, or one config's detectors. So the
+summed resident peak is about (workers + 1) x 65 MB plus one task's needs
+per worker, growing with the class size but not with the whole corpus. On
+the benchmark's ``grid-em`` corpus with two workers it read 113 + 2 x 120
+MB against 127 MB in one process, and 113 + 2 x 148 MB against 173 MB with
+four times the files.
+
+Starting the pool costs about 0.7 s, and a worker's first imports about as
+much again; a process pays this once, as every later ``grid`` in it reuses
+the pool.
 
 Exit codes: 0 success, 1 usage error, 2 data/validation error, 3 numerical
 failure.
@@ -51,20 +85,26 @@ failure.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+import tempfile
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
-from . import __version__
+from . import __version__, workers
 from .config import checked, from_doc, read_json_object, to_doc
 from .cqt import DEFAULT_OCTAVES, DEFAULT_SAMPLE_RATE
 from .detector import (
+    CACHE_ENV_VAR,
     DetectorModel,
+    class_models,
+    paired_detectors,
+    pooled_frames,
     read_score_file,
     score_batch,
     score_batches,
     train_detector,
-    train_detectors,
     write_score_file,
 )
 from .errors import (
@@ -75,7 +115,12 @@ from .errors import (
     NumericalError,
     SpoofmeterError,
 )
-from .features import FeatureConfig, default_feature_config
+from .features import (
+    FeatureConfig,
+    default_feature_config,
+    feature_cache_path,
+    memoized_static_cepstra,
+)
 from .gmm import GmmTrainConfig
 from .manifest import parse_manifest
 from .metrics import (
@@ -253,25 +298,66 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def _grid_cells(nat, artif, eval_manifest, config, gmm_config, counts,
-                static_memo) -> dict:
-    """Attack-averaged EER, or the error that fails the cell, per count.
+def _missing_wavs(configs, entries) -> list:
+    """``(config, path)`` of each distinct WAV among ``entries`` that one of
+    ``configs`` will miss in the feature cache: every WAV when there is none.
 
-    One front-end config's row of the grid. The detectors come from one
-    :func:`~spoofmeter.detector.train_detectors` call, the training path
-    ``train`` uses too, and each eval file is scored by every count's
-    detector in one pass. A cell fails with the error its own ``train`` and
-    ``score`` would raise.
+    The configs of one grid differ only in what is assembled from the static
+    cepstra, so any of them computes the same cepstra. An entry that is
+    there but damaged counts as a hit here; the first task that misses it
+    computes the WAV's cepstra, and later tasks load them.
     """
-    cells = train_detectors(nat, artif, config, gmm_config, counts,
-                            static_memo)
+    cache_dir = os.environ.get(CACHE_ENV_VAR) or None
+    missing = {}
+    for config in configs:
+        for entry in entries:
+            try:
+                if cache_dir and feature_cache_path(config, entry.path,
+                                                     cache_dir).is_file():
+                    continue
+            except OSError:  # the cells that read it fail, naming it
+                pass
+            missing.setdefault(entry.path, (config, entry.path))
+    return list(missing.values())
+
+
+def _save_static_cepstra(cepstra_dir, task) -> None:
+    """Save one WAV's static cepstra in ``cepstra_dir``, or nothing if that
+    fails: a cell that needs the WAV then fails as its own ``train`` would,
+    reading it again."""
+    config, path = task
+    try:
+        memoized_static_cepstra(config, path, cepstra_dir)
+    except Exception:
+        pass
+
+
+def _train_class(gmm_config, counts, cepstra_dir, task):
+    """``(frame count, class models)`` of one class at one front-end config,
+    as :func:`~spoofmeter.detector.train_detectors` trains it, or the file
+    error that fails the class."""
+    config, manifest, name = task
+    try:
+        frames = pooled_frames(manifest, config, cepstra_dir)
+    except SpoofmeterError as exc:
+        return exc
+    return len(frames), class_models(frames, manifest, name, gmm_config,
+                                     counts)
+
+
+def _scored_cells(eval_manifest, cepstra_dir, cells) -> dict:
+    """``cells`` with each detector replaced by its attack-averaged EER.
+
+    Each eval file is scored by every count's detector in one pass. A cell
+    fails with the error its own ``score`` would raise.
+    """
     detectors = {count: model for count, model in cells.items()
                  if isinstance(model, DetectorModel)}
     if not detectors:
         return cells
     try:
         score_sets = score_batches(list(detectors.values()), eval_manifest,
-                                   static_memo)
+                                   cepstra_dir)
     except SpoofmeterError as exc:
         return {**cells, **dict.fromkeys(detectors, exc)}
     # No EER error is left: _cmd_grid checked both eval populations.
@@ -316,23 +402,40 @@ def _cmd_grid(args) -> int:
         raise NoSpoofSystemsError(
             f"{args.eval}: evaluation manifest has no spoof rows")
 
-    static_memo = {}
+    # One front-end config per row of cells, computed in the worker pool:
+    # the static cepstra of every WAV one of them will extract, then each
+    # config's two class models, then each config's scores.
+    modes = [(variant, "cmvn" if use_cmvn else "raw")
+             for variant in variants for use_cmvn in cmvn_settings]
+    configs = [replace(feature_config, cqcc=replace(
+        feature_config.cqcc, apply_cmvn=mode == "cmvn",
+        **variant_flags[variant])).pinned() for variant, mode in modes]
+    classes = [(nat, "natural-speech"), (artif, "artificial-speech")]
+    with tempfile.TemporaryDirectory(prefix="spoofmeter-") as cepstra_dir:
+        workers.ordered_map(
+            partial(_save_static_cepstra, cepstra_dir),
+            _missing_wavs(configs, [*nat, *artif, *eval_manifest]))
+        trained = iter(workers.ordered_map(
+            partial(_train_class, gmm_config, counts, cepstra_dir),
+            [(config, *c) for config in configs for c in classes]))
+        row_detectors = []
+        for config in configs:
+            pair = next(trained), next(trained)
+            error = next((c for c in pair if isinstance(c, Exception)), None)
+            row_detectors.append(
+                dict.fromkeys(counts, error) if error else paired_detectors(
+                    nat, artif, config, gmm_config, counts, *pair))
+        row_cells = workers.ordered_map(
+            partial(_scored_cells, eval_manifest, cepstra_dir), row_detectors)
     rows = []
-    for variant in variants:
-        for use_cmvn in cmvn_settings:
-            cqcc = replace(feature_config.cqcc, apply_cmvn=use_cmvn,
-                           **variant_flags[variant])
-            config = replace(feature_config, cqcc=cqcc)
-            mode = "cmvn" if use_cmvn else "raw"
-            cells = _grid_cells(nat, artif, eval_manifest, config, gmm_config,
-                                counts, static_memo)
-            for n_components in counts:
-                value = cells[n_components]
-                if isinstance(value, Exception):
-                    print(f"grid cell ({variant}, {mode}, {n_components}) "
-                          f"failed: {value}", file=sys.stderr)
-                    value = "failed"
-                rows.append((variant, mode, n_components, value))
+    for (variant, mode), cells in zip(modes, row_cells):
+        for n_components in counts:
+            value = cells[n_components]
+            if isinstance(value, Exception):
+                print(f"grid cell ({variant}, {mode}, {n_components}) "
+                      f"failed: {value}", file=sys.stderr)
+                value = "failed"
+            rows.append((variant, mode, n_components, value))
 
     command = (f"grid --nat {args.nat} --artif {args.artif} --eval {args.eval}"
                f" --variants {args.variants} --gaussians {args.gaussians}"
@@ -429,4 +532,7 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    # As spoofmeter.cli, the name by which a worker finds the functions that
+    # grid sends it.
+    from spoofmeter.cli import main
     raise SystemExit(main())

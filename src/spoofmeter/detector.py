@@ -6,9 +6,11 @@ log-likelihoods under the two models. Higher scores mean the utterance
 looks more like natural human speech to the detector.
 
 Training never touches evaluation manifests: :func:`train_detectors`, the
-one training path (``train`` and ``grid`` both go through it), takes only the
-two class manifests, so evaluation audio cannot leak into the models by
-construction.
+one training path, takes only the two class manifests, so evaluation audio
+cannot leak into the models by construction. ``train`` calls it; ``grid``
+calls its three parts (:func:`pooled_frames` then :func:`class_models` per
+class, then :func:`paired_detectors`) so that the two classes can train in
+separate processes.
 
 Both reach their features through :func:`_for_each_file`, the one call of
 :func:`~spoofmeter.features.features_for_file`, with the feature cache in
@@ -55,11 +57,11 @@ class DetectorModel:
 
 
 def _for_each_file(manifest: Manifest, config: FeatureConfig,
-                   static_memo: dict | None, per_file) -> list:
+                   cepstra_dir, per_file) -> list:
     """``per_file(entry, feats)`` of every row, in order, with its features.
 
     ``feats`` comes from :func:`~spoofmeter.features.features_for_file` per
-    ``config``, with ``static_memo``. Each file is handled before the next
+    ``config``, with ``cepstra_dir``. Each file is handled before the next
     is read. One error names every failure: silently skipping files would
     bias the models and the error rates.
     """
@@ -69,7 +71,7 @@ def _for_each_file(manifest: Manifest, config: FeatureConfig,
     for entry in manifest:
         try:
             results.append(per_file(entry, features_for_file(
-                config, entry.path, entry.utt_id, cache_dir, static_memo)))
+                config, entry.path, entry.utt_id, cache_dir, cepstra_dir)))
         except Exception as exc:
             failures.append((entry.utt_id, entry.path, exc))
     if failures:
@@ -77,13 +79,21 @@ def _for_each_file(manifest: Manifest, config: FeatureConfig,
     return results
 
 
-def _class_models(frames, manifest: Manifest, name: str,
-                  gmm_config: GmmTrainConfig, counts) -> dict:
+def pooled_frames(manifest: Manifest, config: FeatureConfig,
+                  cepstra_dir=None) -> np.ndarray:
+    """Every row's feature frames per ``config``, stacked in manifest order."""
+    return np.vstack(_for_each_file(manifest, config, cepstra_dir,
+                                    lambda _, feats: feats.frames))
+
+
+def class_models(frames, manifest: Manifest, name: str,
+                 gmm_config: GmmTrainConfig, counts) -> dict:
     """One class's model at each of ``counts``, from one EM run.
 
     The run goes up to the largest count the frames support, and each
-    smaller count takes its stage model. A count the run cannot reach maps
-    to its EM error: the same type, its message naming manifest and class.
+    smaller count takes its stage model, the same for every larger target.
+    A count the run cannot reach maps to its EM error: the same type, its
+    message naming manifest and class.
     """
     models, stages = {}, None
     for count in sorted(counts, reverse=True):
@@ -100,9 +110,36 @@ def _class_models(frames, manifest: Manifest, name: str,
     return models
 
 
+def paired_detectors(nat_manifest: Manifest, artif_manifest: Manifest,
+                     config: FeatureConfig, gmm_config: GmmTrainConfig,
+                     counts, nat: tuple, artif: tuple) -> dict:
+    """Each count's :class:`DetectorModel` from the two classes' models.
+
+    ``nat`` and ``artif`` are each ``(frame count, class_models(...))``, the
+    artificial class's at least at every count the natural class reached.
+    A count maps to the natural class's EM error, else the artificial
+    class's, else its detector.
+    """
+    metadata = {"tool": f"spoofmeter {__version__}", "seed": str(gmm_config.seed)}
+    for side, manifest, (n_frames, _) in (("nat", nat_manifest, nat),
+                                          ("artif", artif_manifest, artif)):
+        metadata[f"{side}_files"] = str(len(manifest))
+        metadata[f"{side}_frames"] = str(n_frames)
+        if manifest.source_path:
+            metadata[f"{side}_manifest"] = manifest.source_path
+    detectors = {}
+    for count in counts:
+        model, other = nat[1][count], artif[1].get(count)
+        if isinstance(model, DiagGmm):
+            model = (DetectorModel(model, other, config, dict(metadata))
+                     if isinstance(other, DiagGmm) else other)
+        detectors[count] = model
+    return detectors
+
+
 def train_detectors(nat_manifest: Manifest, artif_manifest: Manifest,
                     feature_config: FeatureConfig, gmm_config: GmmTrainConfig,
-                    counts, static_memo: dict | None = None) -> dict:
+                    counts, cepstra_dir=None) -> dict:
     """Train the two class models at each Gaussian count in ``counts``.
 
     Features are extracted per ``feature_config`` for every manifest row
@@ -112,37 +149,24 @@ def train_detectors(nat_manifest: Manifest, artif_manifest: Manifest,
     class reached. Maps every count to its self-describing
     :class:`DetectorModel`, or to the error training it raises: a file
     error of either class, else the natural class's EM error, else
-    the artificial class's. ``static_memo`` is passed on to
+    the artificial class's. ``cepstra_dir`` is passed on to
     :func:`~spoofmeter.features.features_for_file`.
     """
     config = feature_config.pinned()
     try:
         nat_frames, artif_frames = (
-            np.vstack(_for_each_file(manifest, config, static_memo,
-                                     lambda _, feats: feats.frames))
+            pooled_frames(manifest, config, cepstra_dir)
             for manifest in (nat_manifest, artif_manifest))
     except SpoofmeterError as exc:
         return dict.fromkeys(counts, exc)
-    models = _class_models(nat_frames, nat_manifest, "natural-speech",
-                           gmm_config, counts)
-    trained = [c for c in counts if isinstance(models[c], DiagGmm)]
-    artif_gmms = _class_models(artif_frames, artif_manifest,
-                               "artificial-speech", gmm_config, trained)
-
-    metadata = {"tool": f"spoofmeter {__version__}", "seed": str(gmm_config.seed)}
-    for side, manifest, frames in (("nat", nat_manifest, nat_frames),
-                                   ("artif", artif_manifest, artif_frames)):
-        metadata[f"{side}_files"] = str(len(manifest))
-        metadata[f"{side}_frames"] = str(frames.shape[0])
-        if manifest.source_path:
-            metadata[f"{side}_manifest"] = manifest.source_path
-    for count in trained:
-        if isinstance(artif_gmms[count], DiagGmm):
-            models[count] = DetectorModel(models[count], artif_gmms[count],
-                                          config, dict(metadata))
-        else:
-            models[count] = artif_gmms[count]
-    return {count: models[count] for count in counts}
+    nat = class_models(nat_frames, nat_manifest, "natural-speech",
+                       gmm_config, counts)
+    trained = [c for c in counts if isinstance(nat[c], DiagGmm)]
+    artif = class_models(artif_frames, artif_manifest, "artificial-speech",
+                         gmm_config, trained)
+    return paired_detectors(nat_manifest, artif_manifest, config, gmm_config,
+                            counts, (len(nat_frames), nat),
+                            (len(artif_frames), artif))
 
 
 def train_detector(nat_manifest: Manifest, artif_manifest: Manifest,
@@ -176,12 +200,11 @@ def score_batch(model: DetectorModel, eval_manifest: Manifest) -> ScoreSet:
     return score_batches([model], eval_manifest)[0]
 
 
-def score_batches(models, eval_manifest: Manifest,
-                  static_memo: dict | None = None) -> list:
+def score_batches(models, eval_manifest: Manifest, cepstra_dir=None) -> list:
     """:func:`score_batch` of each of ``models``, which share one feature config.
 
     Each file's features are extracted once and scored by every model
-    before the next file is read. ``static_memo`` is passed on to
+    before the next file is read. ``cepstra_dir`` is passed on to
     :func:`~spoofmeter.features.features_for_file`.
     """
     def records(entry, feats):
@@ -189,7 +212,7 @@ def score_batches(models, eval_manifest: Manifest,
                             llr_score(model, feats)) for model in models]
 
     rows = _for_each_file(eval_manifest, models[0].feature_config,
-                          static_memo, records)
+                          cepstra_dir, records)
     return [ScoreSet(tuple(row[i] for row in rows)) for i in range(len(models))]
 
 

@@ -19,7 +19,7 @@ on signal length and hop.
 
 The per-file feature cache lives here too: :func:`features_for_file`
 memoizes :func:`extract_features` of one WAV as a ``.npy`` entry, and can
-take the static cepstra from an in-memory memo the caller owns.
+take the static cepstra from a directory of saved ones the caller owns.
 """
 
 from __future__ import annotations
@@ -482,32 +482,57 @@ def _cache_key(config: FeatureConfig, path: str) -> str:
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()[:24]
 
 
+def memoized_static_cepstra(config: FeatureConfig, path: str,
+                            cepstra_dir) -> np.ndarray:
+    """:func:`static_cepstra` of the WAV at ``path``, kept in ``cepstra_dir``.
+
+    ``cepstra_dir`` is a directory the caller owns, or ``None`` to keep
+    nothing. Cepstra saved there for this file and front end are loaded;
+    others are computed and saved, whole or not at all, so the processes
+    that share the directory compute a file's once between them, but for
+    those that miss it at the same time. They load as the same float64.
+    """
+    if cepstra_dir is None:
+        return static_cepstra(config, read_wav(path))
+    key = json.dumps([path, config.sample_rate, to_doc(config.cqt),
+                      config.cqcc.num_ceps, config.effective_grid_size])
+    saved = Path(cepstra_dir) / f"{hashlib.sha256(key.encode()).hexdigest()[:24]}.npy"
+    try:
+        return np.load(saved, allow_pickle=False)
+    except FileNotFoundError:
+        pass
+    cepstra = static_cepstra(config, read_wav(path))
+    with replacing(saved) as tmp, open(tmp, "wb") as f:
+        np.save(f, cepstra, allow_pickle=False)
+    return cepstra
+
+
+def feature_cache_path(config: FeatureConfig, path: str, cache_dir) -> Path:
+    """Where :func:`features_for_file` keeps ``path``'s features in ``cache_dir``."""
+    return Path(cache_dir) / f"{_cache_key(config, path)}.feat"
+
+
 def features_for_file(config: FeatureConfig, path: str, utt_id: str,
-                      cache_dir,
-                      static_memo: dict | None = None) -> FeatureMatrix:
+                      cache_dir, cepstra_dir=None) -> FeatureMatrix:
     """:func:`extract_features` of the WAV at ``path``, cached in ``cache_dir``.
 
     ``None`` means no cache. A missing or unreadable entry (damaged, or in an
     older format), or one of another width or with no frames, is a miss: the
     features are extracted again and the entry replaced. On a miss the static
-    cepstra come from ``static_memo``, a dict the caller owns, when it holds
-    them for this file and front end, and are stored there when it does not.
+    cepstra go through ``cepstra_dir`` (:func:`memoized_static_cepstra`).
     """
     cache_file = None
     if cache_dir is not None:
-        cache_file = Path(cache_dir) / f"{_cache_key(config, path)}.feat"
+        cache_file = feature_cache_path(config, path, cache_dir)
         try:
             feats = read_feature_cache(cache_file, source_id=utt_id)
             if feats.dim == config.output_dim and feats.n_frames > 0:
                 return feats
         except (FileNotFoundError, ValueError):
             pass
-    memo = {} if static_memo is None else static_memo
-    key = (path, config.sample_rate, config.cqt, config.cqcc.num_ceps,
-           config.effective_grid_size)
-    if key not in memo:
-        memo[key] = static_cepstra(config, read_wav(path))
-    feats = assemble_features(config.cqcc, memo[key], source_id=utt_id)
+    feats = assemble_features(
+        config.cqcc, memoized_static_cepstra(config, path, cepstra_dir),
+        source_id=utt_id)
     if cache_file is not None:
         cache_file.parent.mkdir(parents=True, exist_ok=True)
         write_feature_cache(cache_file, feats)

@@ -24,6 +24,7 @@ from spoofmeter import (
     cli,
     features,
     score_batch,
+    workers,
 )
 from spoofmeter.cli import main, parse_variant
 from spoofmeter.detector import CACHE_ENV_VAR
@@ -85,6 +86,13 @@ def trained_model(workspace):
                "--out", str(model), "--seed", "7"])
     assert rc == 0
     return model
+
+
+@pytest.fixture
+def pool_in_process(monkeypatch):
+    """``grid``'s pool map, run in this process, where a patch is seen."""
+    monkeypatch.setattr(workers, "ordered_map",
+                        lambda fn, items: [fn(item) for item in items])
 
 
 def _data_rows(path):
@@ -236,10 +244,13 @@ class TestGrid:
 
     @pytest.mark.parametrize("with_config", [False, True])
     def test_command_line_records_the_run_config(
-            self, workspace, tmp_path, monkeypatch, with_config):
+            self, workspace, tmp_path, monkeypatch, pool_in_process,
+            with_config):
         # The run config sets every cell's front end and EM schedule, so the
         # header names it when one was given.
-        monkeypatch.setattr(cli, "_grid_cells", lambda *args: {2: 12.5})
+        monkeypatch.setattr(cli, "_train_class",
+                            lambda *args: DataError("no training"))
+        monkeypatch.setattr(cli, "_scored_cells", lambda *args: {2: 12.5})
         out = tmp_path / "grid.tsv"
         argv = ["grid", "--nat", str(workspace["nat"]),
                 "--artif", str(workspace["artif"]),
@@ -359,13 +370,9 @@ class TestGridSharesWork:
             tmp_path / "grid.tsv", capsys)
         assert errors == []
 
-    @pytest.mark.parametrize("cached", [False, True])
-    def test_cqt_runs_once_per_distinct_wav(self, workspace, tmp_path,
-                                            monkeypatch, cached):
-        if cached:
-            monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path / "cache"))
-        else:
-            monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+    @staticmethod
+    def _cqt_inputs(workspace, tmp_path, monkeypatch, out):
+        """The samples of every CQT one ``grid`` run computes."""
         calls = []
         real = features.cqt_spectrogram
 
@@ -373,18 +380,58 @@ class TestGridSharesWork:
             calls.append(signal.samples.tobytes())
             return real(signal, config)
 
-        monkeypatch.setattr(features, "cqt_spectrogram", counting)
-        assert main(["grid", "--nat", str(workspace["nat"]),
-                     "--artif", str(workspace["artif"]),
-                     "--eval", str(workspace["eval"]),
-                     "--variants", "delta+delta2,z+stat+delta+delta2",
-                     "--gaussians", "1,2,4", "--cmvn", "both",
-                     "--config", str(workspace["config"]),
-                     "--out", str(tmp_path / "grid.tsv")]) == 0
+        with monkeypatch.context() as patch:
+            patch.setattr(features, "cqt_spectrogram", counting)
+            assert main(["grid", "--nat", str(workspace["nat"]),
+                         "--artif", str(workspace["artif"]),
+                         "--eval", str(workspace["eval"]),
+                         "--variants", "delta+delta2,z+stat+delta+delta2",
+                         "--gaussians", "1,2,4", "--cmvn", "both",
+                         "--config", str(workspace["config"]),
+                         "--out", str(tmp_path / out)]) == 0
+        return calls
+
+    # The pool's map runs in this process here, so that the count sees the
+    # CQTs of both phases.
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_cqt_runs_once_per_distinct_wav(self, workspace, tmp_path,
+                                            monkeypatch, pool_in_process,
+                                            cached):
+        if cached:
+            monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path / "cache"))
+        else:
+            monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+        calls = self._cqt_inputs(workspace, tmp_path, monkeypatch, "grid.tsv")
         n_wavs = sum(len(_data_rows(workspace[m])[1])
                      for m in ("nat", "artif", "eval"))
         assert len(calls) == n_wavs
         assert len(set(calls)) == n_wavs
+
+    def test_warm_cache_runs_no_cqt(self, workspace, tmp_path, monkeypatch,
+                                    pool_in_process):
+        monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path / "cache"))
+        assert self._cqt_inputs(workspace, tmp_path, monkeypatch, "cold.tsv")
+        assert self._cqt_inputs(workspace, tmp_path, monkeypatch,
+                                "warm.tsv") == []
+        assert ((tmp_path / "warm.tsv").read_bytes()
+                == (tmp_path / "cold.tsv").read_bytes())
+
+    def test_damaged_cache_runs_each_cqt_once(self, workspace, tmp_path,
+                                              monkeypatch, pool_in_process):
+        # A damaged entry is missed by the first config that reads it, not
+        # by the first phase: that config computes the WAV's cepstra, and
+        # the three other configs load them.
+        monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path / "cache"))
+        self._cqt_inputs(workspace, tmp_path, monkeypatch, "cold.tsv")
+        for entry in (tmp_path / "cache").iterdir():
+            entry.write_bytes(b"damaged")
+        calls = self._cqt_inputs(workspace, tmp_path, monkeypatch,
+                                 "damaged.tsv")
+        n_wavs = sum(len(_data_rows(workspace[m])[1])
+                     for m in ("nat", "artif", "eval"))
+        assert len(calls) == len(set(calls)) == n_wavs
+        assert ((tmp_path / "damaged.tsv").read_bytes()
+                == (tmp_path / "cold.tsv").read_bytes())
 
 
 class TestGridFailures:
@@ -591,7 +638,8 @@ class TestErrorHandling:
             trained.append(args)
             raise DataError("training is not expected")
 
-        monkeypatch.setattr(cli, "train_detectors", no_training)
+        # grid trains only in the worker pool.
+        monkeypatch.setattr(workers, "ordered_map", no_training)
         out = tmp_path / "grid.tsv"
         # A count that is not a power of two, and repeated cells: a repeated
         # count, or two spellings that parse to the same variant.
@@ -633,7 +681,10 @@ class TestErrorHandling:
             self, workspace, tmp_path, capsys, monkeypatch, command,
             variants, gaussians, message):
         trained = []
-        monkeypatch.setattr(cli, "train_detectors",
+        monkeypatch.setattr(cli, "train_detector",
+                            lambda *args: trained.append(args))
+        # grid trains only in the worker pool.
+        monkeypatch.setattr(workers, "ordered_map",
                             lambda *args: trained.append(args))
         out = tmp_path / "out"
         argv = [command, "--nat", str(workspace["nat"]),
@@ -663,7 +714,8 @@ class TestErrorHandling:
             trained.append(args)
             raise DataError("training is not expected")
 
-        monkeypatch.setattr(cli, "train_detectors", no_training)
+        # grid trains only in the worker pool.
+        monkeypatch.setattr(workers, "ordered_map", no_training)
         manifests = {name: str(workspace[name])
                      for name in ("nat", "artif", "eval")}
         # The broken manifest keeps only the rows labelled ``keep``.
