@@ -38,19 +38,21 @@ name the file. So is a front end that cannot run, which
 and ``use_*``) by ``--variants`` and its ``apply_cmvn`` by ``--cmvn``:
 ``"apply_cmvn": true`` still runs raw cells.
 
-``train`` and ``grid`` share one training path: ``train`` is the one-count
-case of :func:`~spoofmeter.detector.train_detectors`, and ``grid`` runs its
-parts. ``grid`` does each expensive step once per run, in the worker pool of
-:mod:`spoofmeter.workers` (one worker per task, up to one per CPU the
-process may use), in three phases:
+``train`` and ``grid`` compose the same detector parts
+(:mod:`spoofmeter.detector`): ``train`` at one Gaussian count, in its own
+process, and ``grid`` at all of them. ``grid`` does each expensive step once
+per run, in the worker pool of :mod:`spoofmeter.workers` (one worker per
+task, up to one per CPU the process may use), in three phases:
 
 1. The static cepstra (:func:`~spoofmeter.features.static_cepstra`) of
    every distinct WAV that a front-end config will miss in the feature
-   cache, one task per WAV. They are saved in a temporary directory for the
-   run (in ``$TMPDIR``; a killed ``grid`` leaves it behind), ``num_ceps + 1``
-   float64 per frame (about 24 KB per audio second at the defaults), and
-   every later task loads them from there. A grid over a warm cache
-   computes none.
+   cache, one task per WAV. They are kept in a temporary directory for the
+   run (in ``$TMPDIR``; a killed ``grid`` leaves it behind), which is an
+   ordinary feature cache of the static front end
+   (:func:`~spoofmeter.features.static_front_end`): ``num_ceps + 1``
+   float64 per frame, about 24 KB per audio second at the defaults. Every
+   later task loads them from there. A grid over a warm cache computes
+   none.
 2. One task per front-end config and class: the class's frames are pooled
    once and trained once, up to the largest Gaussian count they support.
    The artificial class trains beside the natural one, so also at counts
@@ -119,11 +121,13 @@ from .features import (
     FeatureConfig,
     default_feature_config,
     feature_cache_path,
-    memoized_static_cepstra,
+    features_for_file,
+    static_front_end,
 )
 from .gmm import GmmTrainConfig
 from .manifest import parse_manifest
 from .metrics import (
+    AVERAGE_ROW_ID,
     BONAFIDE,
     SPOOF,
     attack_averaged_eer,
@@ -134,8 +138,6 @@ from .metrics import (
 )
 from .model_io import load_model, save_model
 from .tables import read_table, write_table
-
-AVERAGE_ROW_ID = "(average)"
 
 _VARIANT_PARTS = ("z", "stat", "delta", "delta2")
 
@@ -327,15 +329,14 @@ def _save_static_cepstra(cepstra_dir, task) -> None:
     reading it again."""
     config, path = task
     try:
-        memoized_static_cepstra(config, path, cepstra_dir)
+        features_for_file(static_front_end(config), path, "", cepstra_dir)
     except Exception:
         pass
 
 
 def _train_class(gmm_config, counts, cepstra_dir, task):
-    """``(frame count, class models)`` of one class at one front-end config,
-    as :func:`~spoofmeter.detector.train_detectors` trains it, or the file
-    error that fails the class."""
+    """``(frame count, class models)`` of one class at one front-end config
+    and every count, or the file error that fails the class."""
     config, manifest, name = task
     try:
         frames = pooled_frames(manifest, config, cepstra_dir)
@@ -418,13 +419,9 @@ def _cmd_grid(args) -> int:
         trained = iter(workers.ordered_map(
             partial(_train_class, gmm_config, counts, cepstra_dir),
             [(config, *c) for config in configs for c in classes]))
-        row_detectors = []
-        for config in configs:
-            pair = next(trained), next(trained)
-            error = next((c for c in pair if isinstance(c, Exception)), None)
-            row_detectors.append(
-                dict.fromkeys(counts, error) if error else paired_detectors(
-                    nat, artif, config, gmm_config, counts, *pair))
+        row_detectors = [paired_detectors(nat, artif, config, gmm_config,
+                                          counts, next(trained), next(trained))
+                         for config in configs]
         row_cells = workers.ordered_map(
             partial(_scored_cells, eval_manifest, cepstra_dir), row_detectors)
     rows = []

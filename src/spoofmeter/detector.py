@@ -5,12 +5,12 @@ an utterance is scored by the difference of its frame-averaged
 log-likelihoods under the two models. Higher scores mean the utterance
 looks more like natural human speech to the detector.
 
-Training never touches evaluation manifests: :func:`train_detectors`, the
-one training path, takes only the two class manifests, so evaluation audio
-cannot leak into the models by construction. ``train`` calls it; ``grid``
-calls its three parts (:func:`pooled_frames` then :func:`class_models` per
-class, then :func:`paired_detectors`) so that the two classes can train in
-separate processes.
+Training never touches evaluation manifests: its three parts,
+:func:`pooled_frames` then :func:`class_models` per class, then
+:func:`paired_detectors`, take only the two class manifests, so evaluation
+audio cannot leak into the models by construction. ``train``
+(:func:`train_detector`) and ``grid`` compose the same parts, ``grid`` with
+each class in a worker process and at every Gaussian count of the grid.
 
 Both reach their features through :func:`_for_each_file`, the one call of
 :func:`~spoofmeter.features.features_for_file`, with the feature cache in
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 
 from . import __version__
 from .errors import (BatchScoringError, DegenerateDataError,
-                     DimMismatchError, SpoofmeterError, TooFewFramesError)
+                     DimMismatchError, TooFewFramesError)
 from .features import FeatureConfig, FeatureMatrix, features_for_file
 from .gmm import DiagGmm, GmmTrainConfig, avg_log_likelihood, gmm_stages
 from .manifest import Manifest
@@ -112,14 +112,18 @@ def class_models(frames, manifest: Manifest, name: str,
 
 def paired_detectors(nat_manifest: Manifest, artif_manifest: Manifest,
                      config: FeatureConfig, gmm_config: GmmTrainConfig,
-                     counts, nat: tuple, artif: tuple) -> dict:
+                     counts, nat, artif) -> dict:
     """Each count's :class:`DetectorModel` from the two classes' models.
 
-    ``nat`` and ``artif`` are each ``(frame count, class_models(...))``, the
-    artificial class's at least at every count the natural class reached.
-    A count maps to the natural class's EM error, else the artificial
+    ``nat`` and ``artif`` are each ``(frame count, class_models(...))`` at
+    every count, or the file error that fails the class. A file error of
+    either class, the natural class's first, fails every count. Else a
+    count maps to the natural class's EM error, else the artificial
     class's, else its detector.
     """
+    error = next((c for c in (nat, artif) if isinstance(c, Exception)), None)
+    if error is not None:
+        return dict.fromkeys(counts, error)
     metadata = {"tool": f"spoofmeter {__version__}", "seed": str(gmm_config.seed)}
     for side, manifest, (n_frames, _) in (("nat", nat_manifest, nat),
                                           ("artif", artif_manifest, artif)):
@@ -129,7 +133,7 @@ def paired_detectors(nat_manifest: Manifest, artif_manifest: Manifest,
             metadata[f"{side}_manifest"] = manifest.source_path
     detectors = {}
     for count in counts:
-        model, other = nat[1][count], artif[1].get(count)
+        model, other = nat[1][count], artif[1][count]
         if isinstance(model, DiagGmm):
             model = (DetectorModel(model, other, config, dict(metadata))
                      if isinstance(other, DiagGmm) else other)
@@ -137,48 +141,30 @@ def paired_detectors(nat_manifest: Manifest, artif_manifest: Manifest,
     return detectors
 
 
-def train_detectors(nat_manifest: Manifest, artif_manifest: Manifest,
-                    feature_config: FeatureConfig, gmm_config: GmmTrainConfig,
-                    counts, cepstra_dir=None) -> dict:
-    """Train the two class models at each Gaussian count in ``counts``.
-
-    Features are extracted per ``feature_config`` for every manifest row
-    and pooled per class in manifest order, once. Each class is trained
-    once, with ``gmm_config``'s schedule, up to the largest count its
-    frames support; the artificial class only for the counts the natural
-    class reached. Maps every count to its self-describing
-    :class:`DetectorModel`, or to the error training it raises: a file
-    error of either class, else the natural class's EM error, else
-    the artificial class's. ``cepstra_dir`` is passed on to
-    :func:`~spoofmeter.features.features_for_file`.
-    """
-    config = feature_config.pinned()
-    try:
-        nat_frames, artif_frames = (
-            pooled_frames(manifest, config, cepstra_dir)
-            for manifest in (nat_manifest, artif_manifest))
-    except SpoofmeterError as exc:
-        return dict.fromkeys(counts, exc)
-    nat = class_models(nat_frames, nat_manifest, "natural-speech",
-                       gmm_config, counts)
-    trained = [c for c in counts if isinstance(nat[c], DiagGmm)]
-    artif = class_models(artif_frames, artif_manifest, "artificial-speech",
-                         gmm_config, trained)
-    return paired_detectors(nat_manifest, artif_manifest, config, gmm_config,
-                            counts, (len(nat_frames), nat),
-                            (len(artif_frames), artif))
-
-
 def train_detector(nat_manifest: Manifest, artif_manifest: Manifest,
                    feature_config: FeatureConfig,
                    gmm_config: GmmTrainConfig) -> DetectorModel:
-    """:func:`train_detectors` at ``gmm_config``'s one count; raises its error."""
+    """The two class models at ``gmm_config``'s count; raises the error
+    training meets.
+
+    Features are extracted per ``feature_config`` for every manifest row
+    and pooled per class in manifest order, both classes before any EM, so
+    a file error of either class fails first. Then the natural class is
+    trained, and its EM error raised before the artificial class trains.
+    """
+    config = feature_config.pinned()
     count = gmm_config.target_components
-    model = train_detectors(nat_manifest, artif_manifest, feature_config,
-                            gmm_config, [count])[count]
-    if isinstance(model, Exception):
-        raise model
-    return model
+    classes = [(manifest, pooled_frames(manifest, config), name)
+               for manifest, name in ((nat_manifest, "natural-speech"),
+                                      (artif_manifest, "artificial-speech"))]
+    pair = []
+    for manifest, frames, name in classes:
+        models = class_models(frames, manifest, name, gmm_config, [count])
+        if isinstance(models[count], Exception):
+            raise models[count]
+        pair.append((len(frames), models))
+    return paired_detectors(nat_manifest, artif_manifest, config, gmm_config,
+                            [count], *pair)[count]
 
 
 def llr_score(model: DetectorModel, feats: FeatureMatrix) -> float:

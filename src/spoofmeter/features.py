@@ -19,7 +19,8 @@ on signal length and hop.
 
 The per-file feature cache lives here too: :func:`features_for_file`
 memoizes :func:`extract_features` of one WAV as a ``.npy`` entry, and can
-take the static cepstra from a directory of saved ones the caller owns.
+take the static cepstra from a second feature cache, of
+:func:`static_front_end`, where ``grid`` keeps them for all its variants.
 """
 
 from __future__ import annotations
@@ -417,6 +418,14 @@ def static_cepstra(config: FeatureConfig, signal: AudioSignal) -> np.ndarray:
     return np.vstack(blocks)
 
 
+def static_front_end(config: FeatureConfig) -> FeatureConfig:
+    """``config`` with the static block only, c0 included, and no CMVN:
+    its features are :func:`static_cepstra` bit for bit."""
+    return replace(config, cqcc=replace(
+        config.cqcc, include_zeroth=True, use_static=True, use_delta=False,
+        use_delta2=False, apply_cmvn=False))
+
+
 def assemble_features(cqcc: CqccConfig, ceps,
                       source_id: str = "") -> FeatureMatrix:
     """Second stage: keep or drop c0, append the deltas, apply CMVN.
@@ -482,31 +491,6 @@ def _cache_key(config: FeatureConfig, path: str) -> str:
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()[:24]
 
 
-def memoized_static_cepstra(config: FeatureConfig, path: str,
-                            cepstra_dir) -> np.ndarray:
-    """:func:`static_cepstra` of the WAV at ``path``, kept in ``cepstra_dir``.
-
-    ``cepstra_dir`` is a directory the caller owns, or ``None`` to keep
-    nothing. Cepstra saved there for this file and front end are loaded;
-    others are computed and saved, whole or not at all, so the processes
-    that share the directory compute a file's once between them, but for
-    those that miss it at the same time. They load as the same float64.
-    """
-    if cepstra_dir is None:
-        return static_cepstra(config, read_wav(path))
-    key = json.dumps([path, config.sample_rate, to_doc(config.cqt),
-                      config.cqcc.num_ceps, config.effective_grid_size])
-    saved = Path(cepstra_dir) / f"{hashlib.sha256(key.encode()).hexdigest()[:24]}.npy"
-    try:
-        return np.load(saved, allow_pickle=False)
-    except FileNotFoundError:
-        pass
-    cepstra = static_cepstra(config, read_wav(path))
-    with replacing(saved) as tmp, open(tmp, "wb") as f:
-        np.save(f, cepstra, allow_pickle=False)
-    return cepstra
-
-
 def feature_cache_path(config: FeatureConfig, path: str, cache_dir) -> Path:
     """Where :func:`features_for_file` keeps ``path``'s features in ``cache_dir``."""
     return Path(cache_dir) / f"{_cache_key(config, path)}.feat"
@@ -519,7 +503,9 @@ def features_for_file(config: FeatureConfig, path: str, utt_id: str,
     ``None`` means no cache. A missing or unreadable entry (damaged, or in an
     older format), or one of another width or with no frames, is a miss: the
     features are extracted again and the entry replaced. On a miss the static
-    cepstra go through ``cepstra_dir`` (:func:`memoized_static_cepstra`).
+    cepstra come from ``cepstra_dir`` when it is given: a feature cache of
+    :func:`static_front_end`, which the processes that share it fill
+    between them.
     """
     cache_file = None
     if cache_dir is not None:
@@ -530,9 +516,12 @@ def features_for_file(config: FeatureConfig, path: str, utt_id: str,
                 return feats
         except (FileNotFoundError, ValueError):
             pass
-    feats = assemble_features(
-        config.cqcc, memoized_static_cepstra(config, path, cepstra_dir),
-        source_id=utt_id)
+    if cepstra_dir is None:
+        ceps = static_cepstra(config, read_wav(path))
+    else:
+        ceps = features_for_file(static_front_end(config), path, "",
+                                 cepstra_dir).frames
+    feats = assemble_features(config.cqcc, ceps, source_id=utt_id)
     if cache_file is not None:
         cache_file.parent.mkdir(parents=True, exist_ok=True)
         write_feature_cache(cache_file, feats)

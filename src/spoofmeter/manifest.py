@@ -4,8 +4,9 @@ A manifest is a table (see :mod:`spoofmeter.tables`) with the columns
 ``utt_id  path  label  system_id``: blank lines and ``#`` lines are skipped
 anywhere, and the header is the first line that is neither. Labels are
 ``bonafide`` or ``spoof``; bona fide rows carry the reserved system id
-``-`` and spoof rows anything else. Relative audio paths are resolved
-against the manifest's own directory. A manifest has at least one row.
+``-`` and spoof rows anything else but ``(average)``, the ``eer`` table's
+attack-averaged row. Relative audio paths are resolved against the
+manifest's own directory. A manifest has at least one row.
 """
 
 from __future__ import annotations

@@ -21,6 +21,8 @@ from .tables import read_table
 BONAFIDE = "bonafide"
 SPOOF = "spoof"
 BONAFIDE_SYSTEM = "-"
+# The system id of the attack-averaged row of an ``eer`` table.
+AVERAGE_ROW_ID = "(average)"
 
 VALID_LABELS = (BONAFIDE, SPOOF)
 
@@ -31,13 +33,13 @@ def check_label(label: str, system_id: str) -> None:
     """Raise ``ValueError`` unless the label is known and fits the system id.
 
     Bona fide trials carry the reserved system id ``-``; spoof trials name
-    a real system.
+    a real system, neither ``-`` nor the ``eer`` table's ``(average)``.
     """
     if label not in VALID_LABELS:
         raise ValueError(f"unknown label {label!r}")
-    if label == SPOOF and system_id == BONAFIDE_SYSTEM:
+    if label == SPOOF and system_id in (BONAFIDE_SYSTEM, AVERAGE_ROW_ID):
         raise ValueError(
-            f"spoof rows must name a system, not {BONAFIDE_SYSTEM!r}")
+            f"spoof rows must name a system, not {system_id!r}")
     if label == BONAFIDE and system_id != BONAFIDE_SYSTEM:
         raise ValueError(
             f"bona fide rows carry the reserved system_id "

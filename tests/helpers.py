@@ -279,8 +279,9 @@ def reference_detector(nat, artif, feature_config, gmm_config):
     Per class, every file's features are stacked in manifest order and
     ``train_gmm`` is run once; an EM error is raised again as its own type,
     naming manifest and class. The composition that trained detectors
-    before one function served ``train`` and ``grid``, kept as an oracle
-    for ``detector.train_detectors``. No feature cache.
+    before ``train`` and ``grid`` shared the detector parts, kept as an
+    oracle for ``detector.train_detector`` and ``grid``'s composition. No
+    feature cache.
     """
     config = feature_config.pinned()
     classes = ((nat, "natural-speech"), (artif, "artificial-speech"))

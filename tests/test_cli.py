@@ -964,7 +964,15 @@ class TestErrorHandling:
         ("score", '{"metadata": {}}', "missing format_version"),
         ("eer", "utt_id\tlabel\tsystem_id\tllr\nu0\tbonafide\t-\t0.5\n"
          "u1\tspoof\tsysA\tnan\n", "line 3: scores must be finite"),
-    ], ids=["empty-utt-id", "no-format-version", "nan-score"])
+        # The id of the eer table's attack-averaged row, which report drops.
+        ("train", "utt_id\tpath\tlabel\tsystem_id\nu0\tx.wav\tspoof\t"
+         "(average)\n", "line 2: spoof rows must name a system, not "
+         "'(average)'"),
+        ("eer", "utt_id\tlabel\tsystem_id\tllr\nu0\tbonafide\t-\t0.5\n"
+         "u1\tspoof\t(average)\t-0.5\n", "line 3: spoof rows must name a "
+         "system, not '(average)'"),
+    ], ids=["empty-utt-id", "no-format-version", "nan-score",
+            "average-system-manifest", "average-system-scores"])
     def test_bad_input_exits_2_with_its_message(
             self, workspace, tmp_path, capsys, command, text, message):
         bad = tmp_path / "bad"

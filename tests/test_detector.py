@@ -27,21 +27,23 @@ from spoofmeter import (
     train_detector,
     write_score_file,
 )
+from spoofmeter import cli, detector
 from spoofmeter.audio_io import resample
 from spoofmeter.config import to_doc
-from spoofmeter.detector import CACHE_ENV_VAR, train_detectors
+from spoofmeter.detector import CACHE_ENV_VAR, paired_detectors
 from spoofmeter.errors import (
     BatchScoringError,
     DimMismatchError,
     EmptyManifestError,
     SpoofmeterError,
+    TooFewFramesError,
 )
 from spoofmeter.features import (
     _cache_key,
     read_feature_cache,
     write_feature_cache,
 )
-from spoofmeter.manifest import Manifest
+from spoofmeter.manifest import Manifest, ManifestEntry
 
 LOW_BAND = (300.0, 900.0)
 HIGH_BAND = (2500.0, 3800.0)
@@ -398,9 +400,21 @@ class TestFeatureCacheIntegration:
         assert len(list(cache.glob("*.feat"))) == 6 * len(files)
 
 
+def _grid_detectors(nat, artif, counts, store):
+    """``grid``'s composition of the detector parts: each class trained at
+    every count by ``cli._train_class``, with ``store`` as its feature cache
+    of the static front end, then one ``paired_detectors`` call."""
+    config = FEATURE_CONFIG.pinned()
+    return paired_detectors(nat, artif, config, GMM_CONFIG, counts, *(
+        cli._train_class(GMM_CONFIG, counts, store, (config, manifest, name))
+        for manifest, name in ((nat, "natural-speech"),
+                               (artif, "artificial-speech"))))
+
+
 class TestTrainDetectors:
-    """``train_detectors`` against ``reference_detector``, which trains each
-    class with its own ``train_gmm`` call at each count."""
+    """``train_detector`` and ``grid``'s composition of the same parts
+    against ``reference_detector``, which trains each class with its own
+    ``train_gmm`` call at each count."""
 
     @pytest.fixture()
     def corpus(self, tmp_path):
@@ -424,7 +438,7 @@ class TestTrainDetectors:
     def test_every_count_equals_its_own_training(self, corpus, tmp_path):
         nat, art, _ = corpus
         counts = [1, 2, 8]
-        models = train_detectors(nat, art, FEATURE_CONFIG, GMM_CONFIG, counts)
+        models = _grid_detectors(nat, art, counts, tmp_path / "store")
         assert list(models) == counts
         for count in counts:
             config = replace(GMM_CONFIG, target_components=count)
@@ -443,11 +457,10 @@ class TestTrainDetectors:
         ("degenerate", [1, 2]),
     ])
     def test_errors_equal_those_of_its_own_training(self, corpus, case,
-                                                    counts):
+                                                    counts, tmp_path):
         nat, art, silent = corpus
         artif = silent if case == "degenerate" else art
-        models = train_detectors(nat, artif, FEATURE_CONFIG, GMM_CONFIG,
-                                 counts)
+        models = _grid_detectors(nat, artif, counts, tmp_path / "store")
         assert list(models) == counts
         failed = 0
         for count in counts:
@@ -464,6 +477,47 @@ class TestTrainDetectors:
             else:
                 assert isinstance(models[count], DetectorModel)
         assert failed == (2 if case == "few" else len(counts))
+
+    @staticmethod
+    def _em_runs(monkeypatch) -> list:
+        runs = []
+
+        def counted(*args, **kwargs):
+            runs.append(args)
+            return gmm_stages(*args, **kwargs)
+
+        gmm_stages = detector.gmm_stages
+        monkeypatch.setattr(detector, "gmm_stages", counted)
+        return runs
+
+    @pytest.mark.parametrize("bad_class", ["nat", "artif"])
+    def test_a_bad_wav_of_either_class_fails_before_any_em(
+            self, corpus, tmp_path, monkeypatch, bad_class):
+        nat, art, _ = corpus
+        garbage = tmp_path / "garbage.wav"
+        garbage.write_bytes(b"not a wav file")
+        manifests = {"nat": nat, "artif": art}
+        clean = manifests[bad_class]
+        manifests[bad_class] = Manifest((*clean, ManifestEntry(
+            "garbage", str(garbage), clean.entries[0].label,
+            clean.entries[0].system_id)))
+        runs = self._em_runs(monkeypatch)
+        with pytest.raises(BatchScoringError, match="garbage"):
+            train_detector(manifests["nat"], manifests["artif"],
+                           FEATURE_CONFIG, GMM_CONFIG)
+        assert runs == []
+
+    def test_natural_class_em_error_stops_before_the_artificial_em(
+            self, corpus, monkeypatch):
+        # The 2-file corpus as the natural class: about 50 frames, too few
+        # for 64 Gaussians, where the 3-file one as the artificial class
+        # would have enough.
+        nat, art, _ = corpus
+        runs = self._em_runs(monkeypatch)
+        with pytest.raises(TooFewFramesError, match="natural-speech model"):
+            train_detector(art, nat, FEATURE_CONFIG,
+                           replace(GMM_CONFIG, target_components=64))
+        assert len(runs) == 1
 
 
 class TestOtherSampleRates:

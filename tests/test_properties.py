@@ -1,6 +1,8 @@
 """Property tests: round trips that must hold for every valid input."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +11,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from helpers import (RATE, SMALL_CQT, reference_dct_truncate,
-                     reference_uniform_resample, small_feature_config)
+                     reference_uniform_resample, small_feature_config,
+                     write_pcm16_wav)
 from spoofmeter import (
     AudioSignal,
     CqccConfig,
@@ -23,6 +26,7 @@ from spoofmeter import (
     llr_score,
     load_model,
     log_power,
+    read_wav,
     save_model,
 )
 from spoofmeter.errors import ConfigError
@@ -32,7 +36,10 @@ from spoofmeter.features import (
     dct_truncate,
     default_grid_size,
     extract_features,
+    features_for_file,
     read_feature_cache,
+    static_cepstra,
+    static_front_end,
     uniform_resample,
     write_feature_cache,
 )
@@ -136,6 +143,21 @@ def front_end_parts(draw):
     return rate, cqt, cqcc, grid_size
 
 
+def _usable_front_end(parts):
+    """``(config, samples, frames)`` of the test signal of ``FeatureConfig(
+    *parts)``, the bin-0 window, or ``None`` if the config does not
+    construct. Examples beyond ``_MAX_CELLS`` are rejected."""
+    try:
+        config = FeatureConfig(*parts)
+    except ConfigError:
+        return None
+    n_samples = int(config.cqt.window_lengths(config.sample_rate)[0])
+    n_frames = (n_samples - 1) // config.cqt.hop + 1
+    assume(n_frames * max(config.cqt.n_bins, config.effective_grid_size)
+           <= _MAX_CELLS)
+    return config, n_samples, n_frames
+
+
 @PROPERTY_SETTINGS
 @given(parts=front_end_parts(), seed=st.integers(0, 2**32 - 1))
 # 5 to 8 kHz at 1 bin per octave: a CQT grid of 1 bin.
@@ -145,19 +167,42 @@ def front_end_parts(draw):
 @example(parts=(16000, CqtConfig(12, 500.0, 8000.0, 160),
                 CqccConfig(resample_period=1), None), seed=0)
 def test_every_config_that_constructs_extracts_finite_features(parts, seed):
-    try:
-        config = FeatureConfig(*parts)
-    except ConfigError:
+    usable = _usable_front_end(parts)
+    if usable is None:
         return
-    n_samples = int(config.cqt.window_lengths(config.sample_rate)[0])
-    n_frames = (n_samples - 1) // config.cqt.hop + 1
-    assume(n_frames * max(config.cqt.n_bins, config.effective_grid_size)
-           <= _MAX_CELLS)
+    config, n_samples, n_frames = usable
     rng = np.random.default_rng(seed)
     signal = AudioSignal(rng.uniform(-0.5, 0.5, n_samples), config.sample_rate)
     feats = extract_features(config, signal)
     assert feats.frames.shape == (n_frames, config.output_dim)
     assert np.all(np.isfinite(feats.frames))
+
+
+@PROPERTY_SETTINGS
+@given(parts=front_end_parts(), seed=st.integers(0, 2**32 - 1))
+def test_static_front_end_cache_serves_static_cepstra(scratch, parts, seed):
+    """``grid`` keeps static cepstra in a feature cache of the static front
+    end: it holds them bit for bit, and the features assembled from it
+    equal ``extract_features``'."""
+    usable = _usable_front_end(parts)
+    if usable is None:
+        return
+    config, n_samples, _ = usable
+    rng = np.random.default_rng(seed)
+    with tempfile.TemporaryDirectory(dir=scratch) as directory:
+        wav, store = str(Path(directory) / "u.wav"), Path(directory) / "store"
+        write_pcm16_wav(wav, rng.uniform(-0.5, 0.5, n_samples),
+                        config.sample_rate)
+        signal = read_wav(wav)
+        expected = static_cepstra(config, signal)
+        for _ in ("write", "read back"):
+            ceps = features_for_file(static_front_end(config), wav, "",
+                                     store).frames
+            assert ceps.shape == expected.shape
+            assert ceps.tobytes() == expected.tobytes()
+            assert len(list(store.iterdir())) == 1
+        feats = features_for_file(config, wav, "u", None, store).frames
+        assert feats.tobytes() == extract_features(config, signal).frames.tobytes()
 
 
 _FINFO = np.finfo(np.float64)
