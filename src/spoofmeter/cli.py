@@ -11,19 +11,21 @@ and ``#`` lines are skipped anywhere, and the header is the first line that is
 neither. Every output table starts with three ``#`` lines and no timestamp:
 ``tool:`` (name and version), ``command:`` (subcommand and input flags) and
 ``seed:``, recorded but never used, as no step draws random numbers. Identical
-invocations on the same machine at the same BLAS thread count produce
-byte-identical artifacts: the front end's matrix products (the direct-form CQT
-and the DCT basis) and EM's round by how BLAS splits them over threads, so the
-features, models and scores of ``train`` and ``score`` follow the caller's
-thread count. ``grid`` computes in worker processes at one BLAS thread, so its
-table and the cache entries it writes are those of a one-thread run at any
-thread count. The feature cache's key holds no thread count, so with
-``SPOOFMETER_CACHE_DIR`` set this holds only for a cold cache or one filled at
-the same count; the entries ``grid`` wrote are one-thread entries when
-``train`` or ``score`` later reads them. Each output is written beside
-``--out`` and renamed over it (:func:`spoofmeter.tables.replacing`), so a
-failed command leaves an earlier output as it was. An ``--out`` whose
-directory is missing, or that is a directory, fails before any input is read.
+invocations on the same machine produce byte-identical artifacts, ``train``'s
+only at the same BLAS thread count. The front end's matrix products (the
+direct-form CQT and the DCT basis) and EM's round by how BLAS splits them over
+threads. ``score`` and ``grid`` compute in worker processes at one BLAS
+thread, so their outputs and the cache entries they write are those of a
+one-thread run at any thread count; ``train`` computes in its
+own process, so its features and model follow the caller's thread count. The
+feature cache's key holds no thread count, so with ``SPOOFMETER_CACHE_DIR`` set
+this holds only for a cold cache or one filled at the same thread count: a
+later ``score`` serves the entries a two-thread ``train`` wrote as they are,
+and a later ``train`` the one-thread entries of ``score`` and ``grid``. Each
+output is written beside ``--out`` and renamed over it
+(:func:`spoofmeter.tables.replacing`), so a failed command leaves an earlier
+output as it was. An ``--out`` whose directory is missing, or that is a
+directory, fails before any input is read.
 
 The run configuration (``--config``) is a JSON object with the optional
 keys ``sample_rate``, ``cqt``, ``cqcc`` and ``gmm``. The keys of the last
@@ -76,9 +78,22 @@ the benchmark's ``grid-em`` corpus with two workers it read 113 + 2 x 120
 MB against 127 MB in one process, and 113 + 2 x 148 MB against 173 MB with
 four times the files.
 
+``score`` uses the same pool: the eval manifest goes to the workers in one
+contiguous chunk each (:func:`~spoofmeter.detector.score_batch`), together
+with the model, whose kernel tables each worker rebuilds. Each worker
+holds its own interpreter, model and scoring buffers: a ``score`` of the
+benchmark's 90-file eval set with a 2048-component model peaked at 83 MB
+in the command's process and about 120 MB in each of two workers, 324 MB
+summed, against 117 MB in one process, and the sum grows by one worker per
+usable CPU (a cgroup CPU quota caps the count).
+
 Starting the pool costs about 0.7 s, and a worker's first imports about as
-much again; a process pays this once, as every later ``grid`` in it reuses
-the pool.
+much again; a process pays this once, as every later ``score`` or ``grid``
+in it reuses the pool. A one-shot ``score`` pays it every time, so on
+two CPUs it is slower than one process below about 250 files of that
+set's 1.5 s (medians of 10 alternating runs on a 2-vCPU Xeon: 1.83 s
+against 1.52 s for 90 files, 2.25 against 2.09 s for 180, 2.84 against
+3.14 s for 360, 7.61 against 10.21 s for 1440).
 
 Exit codes: 0 success, 1 usage error, 2 data/validation error, 3 numerical
 failure.

@@ -12,17 +12,24 @@ audio cannot leak into the models by construction. ``train``
 (:func:`train_detector`) and ``grid`` compose the same parts, ``grid`` with
 each class in a worker process and at every Gaussian count of the grid.
 
-Both reach their features through :func:`_for_each_file`, the one call of
-:func:`~spoofmeter.features.features_for_file`, with the feature cache in
-``$SPOOFMETER_CACHE_DIR`` when that is set.
+Training and scoring reach their features through :func:`_for_each_file`,
+the one call of :func:`~spoofmeter.features.features_for_file`, with the
+feature cache in ``$SPOOFMETER_CACHE_DIR`` when that is set.
+:func:`score_batches` scores in the calling process, as ``grid``'s scoring
+tasks do in their worker, where no pool may start. ``score``
+(:func:`score_batch`) splits the eval manifest into one contiguous chunk
+per worker of :mod:`spoofmeter.workers` and runs :func:`score_batches` on
+each in its worker, so no matrix product of a score runs in the caller and
+the scores are those of a one-BLAS-thread run at any thread count.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, replace
+from functools import partial
 
-from . import __version__
+from . import __version__, workers
 from .errors import (BatchScoringError, DegenerateDataError,
                      DimMismatchError, TooFewFramesError)
 from .features import FeatureConfig, FeatureMatrix, features_for_file
@@ -178,16 +185,45 @@ def llr_score(model: DetectorModel, feats: FeatureMatrix) -> float:
 
 
 def score_batch(model: DetectorModel, eval_manifest: Manifest) -> ScoreSet:
-    """Score every manifest row, in manifest order.
+    """Score every manifest row, in manifest order, in the worker pool.
 
-    Per-file failures are collected and the whole batch fails with one
-    :class:`BatchScoringError` if any file fails.
+    The rows are split into contiguous chunks, one per usable CPU and at
+    most one per row, and :func:`score_batches` scores each chunk in a
+    worker of :mod:`spoofmeter.workers`. Per-file failures of every chunk
+    are collected and the whole batch fails with one
+    :class:`BatchScoringError`, in manifest order, if any file fails.
+
+    As :func:`~spoofmeter.workers.ordered_map` does, it must be called from
+    one thread at a time, and raises :class:`RuntimeError` in a pool worker,
+    where :func:`score_batches` is the way to score. The first call in a
+    process starts the pool (see :mod:`spoofmeter.cli` for what that costs).
     """
-    return score_batches([model], eval_manifest)[0]
+    rows = eval_manifest.entries
+    n_chunks = min(workers.usable_cpus(), len(rows))
+    bounds = [len(rows) * i // n_chunks for i in range(n_chunks + 1)]
+    chunks = [Manifest(rows[start:stop], eval_manifest.source_path)
+              for start, stop in zip(bounds, bounds[1:])]
+    scored = workers.ordered_map(partial(_score_chunk, model), chunks)
+    failures = [failure for chunk in scored
+                if isinstance(chunk, BatchScoringError)
+                for failure in chunk.failures]
+    if failures:
+        raise BatchScoringError(failures)
+    return ScoreSet(tuple(record for chunk in scored
+                          for record in chunk.records))
+
+
+def _score_chunk(model: DetectorModel, chunk: Manifest):
+    """The chunk's :class:`ScoreSet`, or the error that names its failures."""
+    try:
+        return score_batches([model], chunk)[0]
+    except BatchScoringError as exc:
+        return exc
 
 
 def score_batches(models, eval_manifest: Manifest, cepstra_dir=None) -> list:
-    """:func:`score_batch` of each of ``models``, which share one feature config.
+    """:func:`score_batch` of each of ``models``, which share one feature
+    config, in this process.
 
     Each file's features are extracted once and scored by every model
     before the next file is read. ``cepstra_dir`` is passed on to

@@ -108,6 +108,10 @@ class DiagGmm:
         object.__setattr__(self, "variances", v)
         object.__setattr__(self, "_fused_tables", _tables(w, m, v))
 
+    def __reduce__(self):
+        # The tables are rebuilt on unpickling rather than shipped.
+        return type(self), (self.weights, self.means, self.variances)
+
     @property
     def n_components(self) -> int:
         return self.weights.shape[0]

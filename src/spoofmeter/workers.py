@@ -3,10 +3,12 @@
 :func:`ordered_map` returns ``[fn(item) for item in items]``, each call made
 in a worker process. The pool starts on first use, later calls reuse it,
 and it closes at interpreter exit. A call starts workers until there is one
-per item, up to one per CPU this process may run on (its affinity mask; a
-CPU quota below that is not read). Starting two costs about 0.7 s on a
-2-vCPU Xeon, and a worker's first imports of numpy and scipy about as much
-again, so one pool serves every call in a process.
+per item, up to one per CPU this process may run on (:func:`usable_cpus`:
+its affinity mask, capped by its cgroup's CPU quota). Starting two costs
+about 0.7 s on a 2-vCPU Xeon, and a worker's first imports of numpy and
+scipy about as much again, so one pool serves every call in a process. A
+task runs in one worker and starts no pool of its own: :func:`ordered_map`
+called in a worker raises.
 
 Each worker is ``python -c`` with ``OPENBLAS_NUM_THREADS``,
 ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` set to 1 in its environment, so
@@ -51,7 +53,17 @@ _BOOT = ("import sys; "
          "sys.argv[1] in sys.path or sys.path.insert(0, sys.argv[1]); "
          "from spoofmeter.workers import serve; serve(*map(int, sys.argv[2:]))")
 
+# The CPU quota and period of the cgroup mounted at /sys/fs/cgroup, as a
+# container sees its own: cgroup v2's one file, else cgroup v1's two. A quota
+# of "max" (v2) or -1 (v1) is none.
+_CPU_QUOTA_FILES = (("/sys/fs/cgroup/cpu.max",),
+                    ("/sys/fs/cgroup/cpu/cpu.cfs_quota_us",
+                     "/sys/fs/cgroup/cpu/cpu.cfs_period_us"))
+
 _pool: list = []
+
+# True in a worker process, where ordered_map refuses to start a pool.
+_in_worker = False
 
 
 class _Worker:
@@ -68,13 +80,28 @@ class _Worker:
         self.results = Connection(result_r, writable=False)
 
 
-def _workers(n_items: int) -> list:
-    """The pool, grown to one worker per item, at most one per usable CPU."""
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask, or fewer if the
+    CPU quota of its cgroup (:data:`_CPU_QUOTA_FILES`) allows fewer."""
     try:
         n_cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # not on Linux
         n_cpus = os.cpu_count() or 1
-    while len(_pool) < min(n_cpus, n_items):
+    for paths in _CPU_QUOTA_FILES:
+        try:
+            quota, period = " ".join(
+                Path(path).read_text() for path in paths).split()
+            if quota not in ("max", "-1"):
+                n_cpus = min(n_cpus, max(1, -(-int(quota) // int(period))))
+            break
+        except (OSError, ValueError):
+            continue
+    return n_cpus
+
+
+def _workers(n_items: int) -> list:
+    """The pool, grown to one worker per item, at most one per usable CPU."""
+    while len(_pool) < min(usable_cpus(), n_items):
         _pool.append(_Worker())
     return _pool
 
@@ -105,8 +132,12 @@ def ordered_map(fn, items) -> list:
     ``functools.partial`` of one. Call it from one thread at a time. After
     every call is done, the first exception that one raised, in item order,
     is raised here. A worker that dies raises :class:`ChildProcessError` and
-    stops the pool.
+    stops the pool. Called in a worker, it raises :class:`RuntimeError`
+    rather than start workers of its own.
     """
+    if _in_worker:
+        raise RuntimeError("ordered_map called in a worker process: a pool "
+                           "task may not start a pool of its own")
     pending = deque(enumerate(items))
     results = [None] * len(pending)
     errors = {}
@@ -146,6 +177,8 @@ def ordered_map(fn, items) -> list:
 
 def serve(task_fd: int, result_fd: int, parent_pid: int) -> None:
     """A worker's loop: run each task that arrives, until its pipe closes."""
+    global _in_worker
+    _in_worker = True
     # Ctrl-C reaches the whole process group; the caller stops the pool.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     threading.Thread(target=_exit_with_parent, args=(parent_pid,),

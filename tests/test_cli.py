@@ -1,14 +1,18 @@
 import json
+import os
 import re
 import shutil
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spoofmeter
 from helpers import (
+    MEDIUM_CQT,
     NOT_FEATURES,
     RATE,
     burst_resonant_noise,
@@ -27,6 +31,7 @@ from spoofmeter import (
     workers,
 )
 from spoofmeter.cli import main, parse_variant
+from spoofmeter.config import to_doc
 from spoofmeter.detector import CACHE_ENV_VAR
 from spoofmeter.errors import (
     ConfigError,
@@ -38,6 +43,8 @@ from spoofmeter.errors import (
 )
 from spoofmeter.manifest import MANIFEST_COLUMNS, parse_manifest
 from spoofmeter.tables import write_table
+
+SRC = str(Path(spoofmeter.__file__).parent.parent)
 
 RUN_CONFIG = {
     "sample_rate": 16000,
@@ -151,6 +158,45 @@ class TestTrainScoreEer:
         assert "--seed" in capsys.readouterr().err
         assert main(args) == 0
         assert "# seed: 7\n" in out.read_text()
+
+    def test_score_does_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # On the medium grid at 0.3 s, the direct CQT and the DCT round by
+        # the BLAS thread count: scored in one process at one thread and at
+        # two, these LLRs differ.
+        rng = np.random.default_rng(61)
+        low = dict(freq_range=(300.0, 900.0))
+        high = dict(freq_range=(2500.0, 3800.0))
+
+        def corpus(name, *parts):
+            return str(make_wav_corpus(tmp_path / name, [
+                (f"{prefix}{i}", label, system,
+                 resonant_noise(rng, 4800, **band))
+                for prefix, label, system, band, n in parts
+                for i in range(n)]))
+
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(
+            {**RUN_CONFIG, "cqt": to_doc(MEDIUM_CQT)}))
+        model = str(tmp_path / "model.json")
+        assert main(["train",
+                     "--nat", corpus("nat", ("n", "bonafide", "-", low, 3)),
+                     "--artif", corpus("artif", ("a", "spoof", "vcX", high, 3)),
+                     "--config", str(config), "--out", model]) == 0
+        eval_manifest = corpus("eval", ("eb", "bonafide", "-", low, 3),
+                               ("es", "spoof", "sysA", high, 2))
+        env = {**os.environ, "PYTHONPATH": SRC}
+        env.pop(CACHE_ENV_VAR, None)
+        for threads in ("1", "2"):
+            done = subprocess.run(
+                [sys.executable, "-m", "spoofmeter.cli", "score",
+                 "--model", model, "--eval", eval_manifest,
+                 "--out", str(tmp_path / f"scores{threads}.tsv")],
+                env={**env, "OPENBLAS_NUM_THREADS": threads,
+                     "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads},
+                capture_output=True, text=True)
+            assert done.returncode == 0, done.stderr
+        assert ((tmp_path / "scores1.tsv").read_bytes()
+                == (tmp_path / "scores2.tsv").read_bytes())
 
     @pytest.mark.parametrize("kind", NOT_FEATURES)
     def test_score_rebuilds_a_cache_entry_that_is_not_features(

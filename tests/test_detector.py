@@ -30,7 +30,11 @@ from spoofmeter import (
 from spoofmeter import cli, detector
 from spoofmeter.audio_io import resample
 from spoofmeter.config import to_doc
-from spoofmeter.detector import CACHE_ENV_VAR, paired_detectors
+from spoofmeter.detector import (
+    CACHE_ENV_VAR,
+    paired_detectors,
+    score_batches,
+)
 from spoofmeter.errors import (
     BatchScoringError,
     DimMismatchError,
@@ -237,6 +241,46 @@ class TestScoreBatch:
             source_path=None)
         with pytest.raises(BatchScoringError, match="gone.wav"):
             score_batch(model, broken)
+
+    def test_failures_of_every_chunk_are_one_error(self, trained, tmp_path):
+        # At any chunk count, the first row is in the first chunk and the
+        # last row in the last one.
+        model, eval_manifest, _ = trained
+        (tmp_path / "garbage.wav").write_bytes(b"not a wav file")
+        first, *middle, last = eval_manifest.entries
+        broken = Manifest(entries=(
+            replace(first, path=str(tmp_path / "ghost.wav")), *middle,
+            replace(last, path=str(tmp_path / "garbage.wav"))))
+        with pytest.raises(BatchScoringError) as in_process:
+            score_batches([model], broken)
+        with pytest.raises(BatchScoringError) as pooled:
+            score_batch(model, broken)
+
+        def outcome(error):
+            return str(error), [(utt_id, path, type(exc), str(exc))
+                                for utt_id, path, exc in error.failures]
+
+        assert [u for u, _, _ in pooled.value.failures] == [first.utt_id,
+                                                            last.utt_id]
+        assert outcome(pooled.value) == outcome(in_process.value)
+
+    def test_no_row_is_scored_in_the_calling_process(self, trained,
+                                                     monkeypatch):
+        model, eval_manifest, _ = trained
+        expected = score_batches([model], eval_manifest)[0]
+
+        def no_features(*args):
+            raise AssertionError("features read in the calling process")
+
+        monkeypatch.setattr(detector, "features_for_file", no_features)
+        assert score_batch(model, eval_manifest) == expected
+
+    def test_one_row(self, trained):
+        model, eval_manifest, _ = trained
+        one = Manifest(entries=eval_manifest.entries[-1:])
+        scores = score_batch(model, one)
+        assert len(scores) == 1
+        assert scores == score_batches([model], one)[0]
 
     def test_empty_manifest(self):
         # No empty manifest reaches scoring: none can be built, named or not.
@@ -548,10 +592,14 @@ class TestOtherSampleRates:
             resampled.append((signal.sample_rate, rate))
             return resample(signal, rate)
 
+        # score_batch scores in worker processes, which a patch here does
+        # not reach, so the calls are recorded on the in-process path.
         monkeypatch.setattr(features, "resample", recording_resample)
-        assert [r.llr for r in score_batch(model, manifest).records] \
+        scores = score_batches([model], manifest)[0]
+        assert [r.llr for r in scores.records] \
             == [llr_score(model, feats) for feats in expected]
         assert resampled == [(rate, RATE) for rate in self.RATES]
+        assert score_batch(model, manifest).records == scores.records
 
     def test_cache_entries_equal_extraction_after_reading(
             self, mixed, tmp_path, monkeypatch):

@@ -1,6 +1,7 @@
 """Property tests: round trips that must hold for every valid input."""
 
 import json
+import pickle
 import tempfile
 from pathlib import Path
 
@@ -113,6 +114,33 @@ def test_save_load_save_is_byte_identical(scratch, config, seed, n_components,
     save_model(loaded, second)
     assert first.read_bytes() == second.read_bytes()
     assert loaded.feature_config == config.pinned()
+
+
+def _gmm_arrays(gmm):
+    return gmm.weights, gmm.means, gmm.variances, *gmm._fused_tables
+
+
+@PROPERTY_SETTINGS
+@given(config=feature_configs(), seed=st.integers(0, 2**32 - 1),
+       n_components=st.integers(1, 3),
+       metadata=st.dictionaries(st.text(max_size=8), st.text(max_size=8),
+                                max_size=3))
+def test_pickle_ships_three_arrays_and_rebuilds_the_tables(
+        config, seed, n_components, metadata):
+    rng = np.random.default_rng(seed)
+    dim = config.output_dim
+    model = DetectorModel(_gmm(rng, n_components, dim),
+                          _gmm(rng, n_components, dim), config, metadata)
+    loaded = pickle.loads(pickle.dumps(model))
+    assert loaded.feature_config == model.feature_config
+    assert loaded.metadata == model.metadata
+    for gmm, back in ((model.nat, loaded.nat), (model.artif, loaded.artif)):
+        for array, rebuilt in zip(_gmm_arrays(gmm), _gmm_arrays(back),
+                                  strict=True):
+            assert rebuilt.shape == array.shape
+            assert rebuilt.tobytes() == array.tobytes()
+        # The default pickle of a dataclass would ship its whole __dict__.
+        assert len(pickle.dumps(gmm)) < len(pickle.dumps(vars(gmm)))
 
 
 # --- front ends ------------------------------------------------------------

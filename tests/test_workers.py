@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -54,11 +55,38 @@ class TestOrderedMap:
         workers.ordered_map(abs, [0])
         assert len(workers._pool) == 1
         first = workers._pool[0].process.pid
-        n_cpus = len(os.sched_getaffinity(0))
+        n_cpus = workers.usable_cpus()
         workers.ordered_map(abs, range(n_cpus + 3))
         pids = [worker.process.pid for worker in workers._pool]
         assert len(pids) == n_cpus and pids[0] == first
         workers.ordered_map(abs, [0, 1])
+        assert [worker.process.pid for worker in workers._pool] == pids
+
+    @pytest.mark.parametrize("contents, cap", [
+        (["max 100000"], None),
+        (["50000 100000"], 1),
+        (["150000 100000"], 2),
+        (["-1", "100000"], None),
+        (["100000", "100000"], 1),
+        (["not a quota"], None),
+    ])
+    def test_usable_cpus_are_capped_by_a_cgroup_cpu_quota(
+            self, tmp_path, monkeypatch, contents, cap):
+        paths = []
+        for i, text in enumerate(contents):
+            paths.append(tmp_path / f"quota{i}")
+            paths[-1].write_text(text + "\n")
+        affinity = len(os.sched_getaffinity(0))
+        monkeypatch.setattr(workers, "_CPU_QUOTA_FILES",
+                            ((str(tmp_path / "missing"),), tuple(paths)))
+        assert workers.usable_cpus() == min(affinity, cap or affinity)
+
+    def test_a_task_that_maps_raises_instead_of_starting_a_pool(self):
+        workers.ordered_map(abs, [0])
+        pids = [worker.process.pid for worker in workers._pool]
+        with pytest.raises(RuntimeError,
+                           match="called in a worker process"):
+            workers.ordered_map(partial(workers.ordered_map, abs), [[-1]])
         assert [worker.process.pid for worker in workers._pool] == pids
 
     def test_calls_see_the_callers_directory_and_environment(
@@ -184,7 +212,7 @@ def test_unguarded_script_runs_grid_and_its_workers_exit_with_it(
     assert done.returncode == 0, done.stderr
     assert (tmp_path / "grid.tsv").exists()
     pids = [int(pid) for pid in done.stdout.splitlines()[-1].split()]
-    assert len(pids) == min(len(os.sched_getaffinity(0)), 14)  # 14 WAVs
+    assert len(pids) == min(workers.usable_cpus(), 14)  # 14 WAVs
     assert not any(_alive(pid) for pid in pids)
 
 
