@@ -46,15 +46,16 @@ process, and ``grid`` at all of them. ``grid`` does each expensive step once
 per run, in the worker pool of :mod:`spoofmeter.workers` (one worker per
 task, up to one per CPU the process may use), in three phases:
 
-1. The static cepstra (:func:`~spoofmeter.features.static_cepstra`) of
-   every distinct WAV that a front-end config will miss in the feature
-   cache, one task per WAV. They are kept in a temporary directory for the
-   run (in ``$TMPDIR``; a killed ``grid`` leaves it behind), which is an
-   ordinary feature cache of the static front end
-   (:func:`~spoofmeter.features.static_front_end`): ``num_ceps + 1``
-   float64 per frame, about 24 KB per audio second at the defaults. Every
-   later task loads them from there. A grid over a warm cache computes
-   none.
+1. One task per distinct WAV fills the feature cache, the grid's one
+   store: ``$SPOOFMETER_CACHE_DIR`` if set, else a temporary directory for
+   the run (in ``$TMPDIR``; a killed ``grid`` leaves it behind). The task's
+   :func:`~spoofmeter.features.features_for_file` call over every config
+   computes the WAV's static cepstra once, only if a config misses, and
+   writes each missing entry: the configs' summed ``output_dim`` float64
+   per frame, so 118 KB per audio second for ``grid-em``'s variants (58 +
+   90 columns at 100 frames per second), twice that with ``--cmvn both``.
+   Over a warm cache it reads each entry and computes nothing. Phases 2
+   and 3 only read entries.
 2. One task per front-end config and class: the class's frames are pooled
    once and trained once, up to the largest Gaussian count they support.
    The artificial class trains beside the natural one, so also at counts
@@ -102,7 +103,7 @@ failure.
 from __future__ import annotations
 
 import argparse
-import os
+import contextlib
 import sys
 import tempfile
 from dataclasses import replace
@@ -113,9 +114,9 @@ from . import __version__, workers
 from .config import checked, from_doc, read_json_object, to_doc
 from .cqt import DEFAULT_OCTAVES, DEFAULT_SAMPLE_RATE
 from .detector import (
-    CACHE_ENV_VAR,
     DetectorModel,
     class_models,
+    feature_cache_dir,
     paired_detectors,
     pooled_frames,
     read_score_file,
@@ -132,13 +133,7 @@ from .errors import (
     NumericalError,
     SpoofmeterError,
 )
-from .features import (
-    FeatureConfig,
-    default_feature_config,
-    feature_cache_path,
-    features_for_file,
-    static_front_end,
-)
+from .features import FeatureConfig, default_feature_config, features_for_file
 from .gmm import GmmTrainConfig
 from .manifest import parse_manifest
 from .metrics import (
@@ -315,53 +310,29 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def _missing_wavs(configs, entries) -> list:
-    """``(config, path)`` of each distinct WAV among ``entries`` that one of
-    ``configs`` will miss in the feature cache: every WAV when there is none.
-
-    The configs of one grid differ only in what is assembled from the static
-    cepstra, so any of them computes the same cepstra. An entry that is
-    there but damaged counts as a hit here; the first task that misses it
-    computes the WAV's cepstra, and later tasks load them.
-    """
-    cache_dir = os.environ.get(CACHE_ENV_VAR) or None
-    missing = {}
-    for config in configs:
-        for entry in entries:
-            try:
-                if cache_dir and feature_cache_path(config, entry.path,
-                                                     cache_dir).is_file():
-                    continue
-            except OSError:  # the cells that read it fail, naming it
-                pass
-            missing.setdefault(entry.path, (config, entry.path))
-    return list(missing.values())
-
-
-def _save_static_cepstra(cepstra_dir, task) -> None:
-    """Save one WAV's static cepstra in ``cepstra_dir``, or nothing if that
-    fails: a cell that needs the WAV then fails as its own ``train`` would,
-    reading it again."""
-    config, path = task
+def _fill_feature_cache(configs, cache_dir, path) -> None:
+    """Write each of ``configs``' entry of one WAV in ``cache_dir``, or
+    nothing if that fails: a cell that needs the WAV then fails as its own
+    ``train`` would, reading it again."""
     try:
-        features_for_file(static_front_end(config), path, "", cepstra_dir)
+        features_for_file(configs, path, "", cache_dir)
     except Exception:
         pass
 
 
-def _train_class(gmm_config, counts, cepstra_dir, task):
+def _train_class(gmm_config, counts, cache_dir, task):
     """``(frame count, class models)`` of one class at one front-end config
     and every count, or the file error that fails the class."""
     config, manifest, name = task
     try:
-        frames = pooled_frames(manifest, config, cepstra_dir)
+        frames = pooled_frames(manifest, config, cache_dir)
     except SpoofmeterError as exc:
         return exc
     return len(frames), class_models(frames, manifest, name, gmm_config,
                                      counts)
 
 
-def _scored_cells(eval_manifest, cepstra_dir, cells) -> dict:
+def _scored_cells(eval_manifest, cache_dir, cells) -> dict:
     """``cells`` with each detector replaced by its attack-averaged EER.
 
     Each eval file is scored by every count's detector in one pass. A cell
@@ -373,7 +344,7 @@ def _scored_cells(eval_manifest, cepstra_dir, cells) -> dict:
         return cells
     try:
         score_sets = score_batches(list(detectors.values()), eval_manifest,
-                                   cepstra_dir)
+                                   cache_dir)
     except SpoofmeterError as exc:
         return {**cells, **dict.fromkeys(detectors, exc)}
     # No EER error is left: _cmd_grid checked both eval populations.
@@ -419,26 +390,28 @@ def _cmd_grid(args) -> int:
             f"{args.eval}: evaluation manifest has no spoof rows")
 
     # One front-end config per row of cells, computed in the worker pool:
-    # the static cepstra of every WAV one of them will extract, then each
-    # config's two class models, then each config's scores.
+    # every config's cache entry of each WAV, then each config's two class
+    # models, then each config's scores.
     modes = [(variant, "cmvn" if use_cmvn else "raw")
              for variant in variants for use_cmvn in cmvn_settings]
     configs = [replace(feature_config, cqcc=replace(
         feature_config.cqcc, apply_cmvn=mode == "cmvn",
         **variant_flags[variant])).pinned() for variant, mode in modes]
     classes = [(nat, "natural-speech"), (artif, "artificial-speech")]
-    with tempfile.TemporaryDirectory(prefix="spoofmeter-") as cepstra_dir:
-        workers.ordered_map(
-            partial(_save_static_cepstra, cepstra_dir),
-            _missing_wavs(configs, [*nat, *artif, *eval_manifest]))
+    wavs = list(dict.fromkeys(e.path for e in (*nat, *artif, *eval_manifest)))
+    cache_dir = feature_cache_dir()
+    with (contextlib.nullcontext(cache_dir) if cache_dir else
+          tempfile.TemporaryDirectory(prefix="spoofmeter-")) as cache_dir:
+        workers.ordered_map(partial(_fill_feature_cache, configs, cache_dir),
+                            wavs)
         trained = iter(workers.ordered_map(
-            partial(_train_class, gmm_config, counts, cepstra_dir),
+            partial(_train_class, gmm_config, counts, cache_dir),
             [(config, *c) for config in configs for c in classes]))
         row_detectors = [paired_detectors(nat, artif, config, gmm_config,
                                           counts, next(trained), next(trained))
                          for config in configs]
         row_cells = workers.ordered_map(
-            partial(_scored_cells, eval_manifest, cepstra_dir), row_detectors)
+            partial(_scored_cells, eval_manifest, cache_dir), row_detectors)
     rows = []
     for (variant, mode), cells in zip(modes, row_cells):
         for n_components in counts:

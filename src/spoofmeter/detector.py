@@ -14,7 +14,9 @@ each class in a worker process and at every Gaussian count of the grid.
 
 Training and scoring reach their features through :func:`_for_each_file`,
 the one call of :func:`~spoofmeter.features.features_for_file`, with the
-feature cache in ``$SPOOFMETER_CACHE_DIR`` when that is set.
+cache directory their caller passes: ``None`` for none, or what
+:func:`feature_cache_dir` reads from ``$SPOOFMETER_CACHE_DIR`` in
+:func:`train_detector`, :func:`score_batch` or ``grid``.
 :func:`score_batches` scores in the calling process, as ``grid``'s scoring
 tasks do in their worker, where no pool may start. ``score``
 (:func:`score_batch`) splits the eval manifest into one contiguous chunk
@@ -63,22 +65,26 @@ class DetectorModel:
                 f"config yields {self.feature_config.output_dim}")
 
 
+def feature_cache_dir():
+    """``$SPOOFMETER_CACHE_DIR``, or ``None`` when it is unset or empty."""
+    return os.environ.get(CACHE_ENV_VAR) or None
+
+
 def _for_each_file(manifest: Manifest, config: FeatureConfig,
-                   cepstra_dir, per_file) -> list:
+                   cache_dir, per_file) -> list:
     """``per_file(entry, feats)`` of every row, in order, with its features.
 
     ``feats`` comes from :func:`~spoofmeter.features.features_for_file` per
-    ``config``, with ``cepstra_dir``. Each file is handled before the next
-    is read. One error names every failure: silently skipping files would
-    bias the models and the error rates.
+    ``config``, cached in ``cache_dir``. Each file is handled before the
+    next is read. One error names every failure: silently skipping files
+    would bias the models and the error rates.
     """
-    cache_dir = os.environ.get(CACHE_ENV_VAR) or None
     results = []
     failures = []
     for entry in manifest:
         try:
             results.append(per_file(entry, features_for_file(
-                config, entry.path, entry.utt_id, cache_dir, cepstra_dir)))
+                [config], entry.path, entry.utt_id, cache_dir)[0]))
         except Exception as exc:
             failures.append((entry.utt_id, entry.path, exc))
     if failures:
@@ -87,9 +93,9 @@ def _for_each_file(manifest: Manifest, config: FeatureConfig,
 
 
 def pooled_frames(manifest: Manifest, config: FeatureConfig,
-                  cepstra_dir=None) -> np.ndarray:
+                  cache_dir=None) -> np.ndarray:
     """Every row's feature frames per ``config``, stacked in manifest order."""
-    return np.vstack(_for_each_file(manifest, config, cepstra_dir,
+    return np.vstack(_for_each_file(manifest, config, cache_dir,
                                     lambda _, feats: feats.frames))
 
 
@@ -154,14 +160,16 @@ def train_detector(nat_manifest: Manifest, artif_manifest: Manifest,
     """The two class models at ``gmm_config``'s count; raises the error
     training meets.
 
-    Features are extracted per ``feature_config`` for every manifest row
-    and pooled per class in manifest order, both classes before any EM, so
-    a file error of either class fails first. Then the natural class is
-    trained, and its EM error raised before the artificial class trains.
+    Features are extracted per ``feature_config`` for every manifest row,
+    through the cache of :func:`feature_cache_dir`, and pooled per class in
+    manifest order, both classes before any EM, so a file error of either
+    class fails first. Then the natural class is trained, and its EM error
+    raised before the artificial class trains.
     """
     config = feature_config.pinned()
     count = gmm_config.target_components
-    classes = [(manifest, pooled_frames(manifest, config), name)
+    cache_dir = feature_cache_dir()
+    classes = [(manifest, pooled_frames(manifest, config, cache_dir), name)
                for manifest, name in ((nat_manifest, "natural-speech"),
                                       (artif_manifest, "artificial-speech"))]
     pair = []
@@ -189,9 +197,10 @@ def score_batch(model: DetectorModel, eval_manifest: Manifest) -> ScoreSet:
 
     The rows are split into contiguous chunks, one per usable CPU and at
     most one per row, and :func:`score_batches` scores each chunk in a
-    worker of :mod:`spoofmeter.workers`. Per-file failures of every chunk
-    are collected and the whole batch fails with one
-    :class:`BatchScoringError`, in manifest order, if any file fails.
+    worker of :mod:`spoofmeter.workers`, with the feature cache of
+    :func:`feature_cache_dir`. Per-file failures of every chunk are
+    collected and the whole batch fails with one :class:`BatchScoringError`,
+    in manifest order, if any file fails.
 
     As :func:`~spoofmeter.workers.ordered_map` does, it must be called from
     one thread at a time, and raises :class:`RuntimeError` in a pool worker,
@@ -203,7 +212,8 @@ def score_batch(model: DetectorModel, eval_manifest: Manifest) -> ScoreSet:
     bounds = [len(rows) * i // n_chunks for i in range(n_chunks + 1)]
     chunks = [Manifest(rows[start:stop], eval_manifest.source_path)
               for start, stop in zip(bounds, bounds[1:])]
-    scored = workers.ordered_map(partial(_score_chunk, model), chunks)
+    scored = workers.ordered_map(
+        partial(_score_chunk, model, feature_cache_dir()), chunks)
     failures = [failure for chunk in scored
                 if isinstance(chunk, BatchScoringError)
                 for failure in chunk.failures]
@@ -213,28 +223,27 @@ def score_batch(model: DetectorModel, eval_manifest: Manifest) -> ScoreSet:
                           for record in chunk.records))
 
 
-def _score_chunk(model: DetectorModel, chunk: Manifest):
+def _score_chunk(model: DetectorModel, cache_dir, chunk: Manifest):
     """The chunk's :class:`ScoreSet`, or the error that names its failures."""
     try:
-        return score_batches([model], chunk)[0]
+        return score_batches([model], chunk, cache_dir)[0]
     except BatchScoringError as exc:
         return exc
 
 
-def score_batches(models, eval_manifest: Manifest, cepstra_dir=None) -> list:
+def score_batches(models, eval_manifest: Manifest, cache_dir=None) -> list:
     """:func:`score_batch` of each of ``models``, which share one feature
-    config, in this process.
+    config, in this process, with the feature cache in ``cache_dir``.
 
     Each file's features are extracted once and scored by every model
-    before the next file is read. ``cepstra_dir`` is passed on to
-    :func:`~spoofmeter.features.features_for_file`.
+    before the next file is read.
     """
     def records(entry, feats):
         return [ScoreRecord(entry.utt_id, entry.label, entry.system_id,
                             llr_score(model, feats)) for model in models]
 
     rows = _for_each_file(eval_manifest, models[0].feature_config,
-                          cepstra_dir, records)
+                          cache_dir, records)
     return [ScoreSet(tuple(row[i] for row in rows)) for i in range(len(models))]
 
 

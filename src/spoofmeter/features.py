@@ -18,9 +18,10 @@ No speech-activity detection is applied anywhere: frame count depends only
 on signal length and hop.
 
 The per-file feature cache lives here too: :func:`features_for_file`
-memoizes :func:`extract_features` of one WAV as a ``.npy`` entry, and can
-take the static cepstra from a second feature cache, of
-:func:`static_front_end`, where ``grid`` keeps them for all its variants.
+memoizes :func:`extract_features` of one WAV under several configs, one
+``.npy`` entry per config, and computes the static cepstra once for all
+the configs that miss and share a :func:`static_front_end`, as the
+variants of one ``grid`` do.
 """
 
 from __future__ import annotations
@@ -496,33 +497,36 @@ def feature_cache_path(config: FeatureConfig, path: str, cache_dir) -> Path:
     return Path(cache_dir) / f"{_cache_key(config, path)}.feat"
 
 
-def features_for_file(config: FeatureConfig, path: str, utt_id: str,
-                      cache_dir, cepstra_dir=None) -> FeatureMatrix:
-    """:func:`extract_features` of the WAV at ``path``, cached in ``cache_dir``.
+def features_for_file(configs, path: str, utt_id: str, cache_dir) -> list:
+    """:func:`extract_features` of the WAV at ``path`` per each of
+    ``configs``, in order, each cached in ``cache_dir``.
 
     ``None`` means no cache. A missing or unreadable entry (damaged, or in an
     older format), or one of another width or with no frames, is a miss: the
-    features are extracted again and the entry replaced. On a miss the static
-    cepstra come from ``cepstra_dir`` when it is given: a feature cache of
-    :func:`static_front_end`, which the processes that share it fill
-    between them.
+    features are extracted again and the entry replaced. The WAV is read and
+    its :func:`static_cepstra` computed at most once per distinct
+    :func:`static_front_end` among the configs that miss, and not at all
+    when none does.
     """
-    cache_file = None
-    if cache_dir is not None:
-        cache_file = feature_cache_path(config, path, cache_dir)
-        try:
-            feats = read_feature_cache(cache_file, source_id=utt_id)
-            if feats.dim == config.output_dim and feats.n_frames > 0:
-                return feats
-        except (FileNotFoundError, ValueError):
-            pass
-    if cepstra_dir is None:
-        ceps = static_cepstra(config, read_wav(path))
-    else:
-        ceps = features_for_file(static_front_end(config), path, "",
-                                 cepstra_dir).frames
-    feats = assemble_features(config.cqcc, ceps, source_id=utt_id)
-    if cache_file is not None:
-        cache_file.parent.mkdir(parents=True, exist_ok=True)
-        write_feature_cache(cache_file, feats)
+    feats, cepstra = [], {}
+    for config in configs:
+        cache_file = None
+        if cache_dir is not None:
+            cache_file = feature_cache_path(config, path, cache_dir)
+            try:
+                entry = read_feature_cache(cache_file, source_id=utt_id)
+                if entry.dim == config.output_dim and entry.n_frames > 0:
+                    feats.append(entry)
+                    continue
+            except (FileNotFoundError, ValueError):
+                pass
+        static = static_front_end(config)
+        if static not in cepstra:
+            cepstra[static] = static_cepstra(config, read_wav(path))
+        entry = assemble_features(config.cqcc, cepstra[static],
+                                  source_id=utt_id)
+        if cache_file is not None:
+            cache_file.parent.mkdir(parents=True, exist_ok=True)
+            write_feature_cache(cache_file, entry)
+        feats.append(entry)
     return feats

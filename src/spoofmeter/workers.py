@@ -100,7 +100,12 @@ def usable_cpus() -> int:
 
 
 def _workers(n_items: int) -> list:
-    """The pool, grown to one worker per item, at most one per usable CPU."""
+    """The pool, less any worker that died while idle, grown to one worker
+    per item, at most one per usable CPU."""
+    for worker in [w for w in _pool if w.process.poll() is not None]:
+        worker.tasks.close()
+        worker.results.close()
+        _pool.remove(worker)
     while len(_pool) < min(usable_cpus(), n_items):
         _pool.append(_Worker())
     return _pool

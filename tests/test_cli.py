@@ -464,9 +464,8 @@ class TestGridSharesWork:
 
     def test_damaged_cache_runs_each_cqt_once(self, workspace, tmp_path,
                                               monkeypatch, pool_in_process):
-        # A damaged entry is missed by the first config that reads it, not
-        # by the first phase: that config computes the WAV's cepstra, and
-        # the three other configs load them.
+        # Every config misses its damaged entry in the first phase, whose
+        # task computes each WAV's cepstra once for all four.
         monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path / "cache"))
         self._cqt_inputs(workspace, tmp_path, monkeypatch, "cold.tsv")
         for entry in (tmp_path / "cache").iterdir():
@@ -477,6 +476,48 @@ class TestGridSharesWork:
                      for m in ("nat", "artif", "eval"))
         assert len(calls) == len(set(calls)) == n_wavs
         assert ((tmp_path / "damaged.tsv").read_bytes()
+                == (tmp_path / "cold.tsv").read_bytes())
+
+    def test_cold_cache_is_written_once_per_config_and_wav(
+            self, workspace, tmp_path, monkeypatch, pool_in_process):
+        cache = tmp_path / "cache"
+        monkeypatch.setenv(CACHE_ENV_VAR, str(cache))
+        written = []
+        real = features.write_feature_cache
+
+        def counting(path, feats):
+            written.append(path)
+            real(path, feats)
+
+        monkeypatch.setattr(features, "write_feature_cache", counting)
+        self._cqt_inputs(workspace, tmp_path, monkeypatch, "grid.tsv")
+        n_wavs = sum(len(_data_rows(workspace[m])[1])
+                     for m in ("nat", "artif", "eval"))
+        # 2 variants x 2 CMVN settings, and no other store
+        assert len(written) == len(set(written)) == 4 * n_wavs
+        assert sorted(written) == sorted(cache.iterdir())
+
+    def test_partly_warm_cache_runs_each_cqt_once(self, workspace, tmp_path,
+                                                  monkeypatch,
+                                                  pool_in_process):
+        cache = tmp_path / "cache"
+        monkeypatch.setenv(CACHE_ENV_VAR, str(cache))
+        self._cqt_inputs(workspace, tmp_path, monkeypatch, "cold.tsv")
+        feature_config, _ = cli.load_run_config(workspace["config"])
+        config = replace(feature_config, cqcc=replace(
+            feature_config.cqcc, apply_cmvn=True,
+            **parse_variant("delta+delta2"))).pinned()
+        wavs = [entry.path for m in ("nat", "artif", "eval")
+                for entry in parse_manifest(workspace[m])]
+        n_entries = len(list(cache.iterdir()))
+        for path in wavs:
+            features.feature_cache_path(config, path, cache).unlink()
+        assert len(list(cache.iterdir())) == n_entries - len(wavs)
+        calls = self._cqt_inputs(workspace, tmp_path, monkeypatch,
+                                 "partly_warm.tsv")
+        assert len(calls) == len(set(calls)) == len(wavs)
+        assert len(list(cache.iterdir())) == n_entries
+        assert ((tmp_path / "partly_warm.tsv").read_bytes()
                 == (tmp_path / "cold.tsv").read_bytes())
 
 

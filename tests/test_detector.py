@@ -446,8 +446,8 @@ class TestFeatureCacheIntegration:
 
 def _grid_detectors(nat, artif, counts, store):
     """``grid``'s composition of the detector parts: each class trained at
-    every count by ``cli._train_class``, with ``store`` as its feature cache
-    of the static front end, then one ``paired_detectors`` call."""
+    every count by ``cli._train_class``, with ``store`` as its feature
+    cache, then one ``paired_detectors`` call."""
     config = FEATURE_CONFIG.pinned()
     return paired_detectors(nat, artif, config, GMM_CONFIG, counts, *(
         cli._train_class(GMM_CONFIG, counts, store, (config, manifest, name))

@@ -3,6 +3,7 @@
 import json
 import pickle
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from spoofmeter import (
     append_deltas,
     compute_eer,
     cqt_spectrogram,
+    features,
     llr_score,
     load_model,
     log_power,
@@ -207,30 +209,54 @@ def test_every_config_that_constructs_extracts_finite_features(parts, seed):
 
 
 @PROPERTY_SETTINGS
-@given(parts=front_end_parts(), seed=st.integers(0, 2**32 - 1))
-def test_static_front_end_cache_serves_static_cepstra(scratch, parts, seed):
-    """``grid`` keeps static cepstra in a feature cache of the static front
-    end: it holds them bit for bit, and the features assembled from it
-    equal ``extract_features``'."""
+@given(parts=front_end_parts(), seed=st.integers(0, 2**32 - 1),
+       other_num_ceps=st.booleans())
+def test_features_for_file_fills_one_entry_per_config(scratch, parts, seed,
+                                                      other_num_ceps):
+    """``features_for_file`` over several configs, as ``grid`` fills its
+    store: every config's features equal ``extract_features``' bit for bit,
+    written and read back, one entry each, from one ``static_cepstra`` per
+    distinct static front end."""
     usable = _usable_front_end(parts)
     if usable is None:
         return
     config, n_samples, _ = usable
+    # Other blocks, c0 and CMVN: the same static cepstra.
+    configs = [config, static_front_end(config), replace(
+        config, cqcc=replace(config.cqcc,
+                             include_zeroth=not config.cqcc.include_zeroth,
+                             apply_cmvn=not config.cqcc.apply_cmvn))]
+    if other_num_ceps:
+        try:
+            configs.append(replace(config, cqcc=replace(
+                config.cqcc, num_ceps=config.cqcc.num_ceps - 1 or 2)))
+        except ConfigError:  # a grid too small for 2 coefficients
+            assume(False)
+    configs = list(dict.fromkeys(configs))
     rng = np.random.default_rng(seed)
     with tempfile.TemporaryDirectory(dir=scratch) as directory:
         wav, store = str(Path(directory) / "u.wav"), Path(directory) / "store"
         write_pcm16_wav(wav, rng.uniform(-0.5, 0.5, n_samples),
                         config.sample_rate)
         signal = read_wav(wav)
-        expected = static_cepstra(config, signal)
-        for _ in ("write", "read back"):
-            ceps = features_for_file(static_front_end(config), wav, "",
-                                     store).frames
-            assert ceps.shape == expected.shape
-            assert ceps.tobytes() == expected.tobytes()
-            assert len(list(store.iterdir())) == 1
-        feats = features_for_file(config, wav, "u", None, store).frames
-        assert feats.tobytes() == extract_features(config, signal).frames.tobytes()
+        expected = [extract_features(c, signal).frames for c in configs]
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return static_cepstra(*args)
+
+        for computed in (1 + other_num_ceps, 0):  # write, then read back
+            calls.clear()
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(features, "static_cepstra", counting)
+                feats = features_for_file(configs, wav, "u", store)
+            assert len(calls) == computed
+            assert len(list(store.iterdir())) == len(configs)
+            for got, want in zip(feats, expected, strict=True):
+                assert got.source_id == "u"
+                assert got.frames.shape == want.shape
+                assert got.frames.tobytes() == want.tobytes()
 
 
 _FINFO = np.finfo(np.float64)

@@ -50,6 +50,18 @@ class TestOrderedMap:
         assert workers._pool == []
         assert workers.ordered_map(abs, [-2]) == [2]
 
+    def test_a_worker_that_died_while_idle_is_replaced(self):
+        workers.ordered_map(abs, [0])
+        idle = workers._pool[0].process
+        idle.kill()
+        idle.wait()
+        assert workers.ordered_map(abs, [-3, -4]) == [3, 4]
+        processes = [worker.process for worker in workers._pool]
+        assert idle not in processes
+        workers.close()
+        assert workers._pool == []
+        assert all(process.poll() is not None for process in processes)
+
     def test_one_worker_per_item_up_to_one_per_usable_cpu_reused(self):
         workers.close()
         workers.ordered_map(abs, [0])
